@@ -386,11 +386,21 @@ class ChaosDriver:
     def _ep_kill_resume(self, result: EpisodeResult) -> None:
         family = "horn"
         journal = str(self.workdir / "kill-resume.jsonl")
-        faults = f"kill:chase_truncate:@{self.schedule['driver_kill_hit']}"
-        result.faults = (faults,)
         reference = self.reference(family)
-        code, _report, stderr = self._run_batch(
-            family, "--journal", journal, faults=faults)
+        # The drawn threshold can exceed the whole batch's chase activity
+        # (a property of the generated workload, as in _ep_worker_kill):
+        # halve it (a deterministic sequence) until the driver dies.  A
+        # run that completes leaves a full journal, which the next
+        # attempt truncates.
+        hit = self.schedule["driver_kill_hit"]
+        while True:
+            faults = f"kill:chase_truncate:@{hit}"
+            result.faults = (faults,)
+            code, _report, stderr = self._run_batch(
+                family, "--journal", journal, faults=faults)
+            if code != 0 or hit == 1:
+                break
+            hit //= 2
         if code != KILL_EXIT_CODE:
             result.violations.append(self._harness(
                 f"killed run exited {code}, expected {KILL_EXIT_CODE}: "

@@ -190,13 +190,11 @@ def check_materializability(
         open_disjuncts: list[tuple[CQ, tuple[Element, ...], Formula]] = []
         domain = sorted(instance.dom(), key=repr)
         for query in queries:
+            certain = engine.certain_answers(instance, query)
             for combo in itertools.product(domain, repeat=query.arity):
-                if query.holds(instance, combo):
-                    continue  # already true in D, certainly certain
-                if engine.entails(instance, query, combo):
-                    continue
-                open_disjuncts.append(
-                    (query, combo, query_formula(query, combo)))
+                if combo not in certain:
+                    open_disjuncts.append(
+                        (query, combo, query_formula(query, combo)))
         for size in range(2, max_disjuncts + 1):
             for chosen in itertools.combinations(open_disjuncts, size):
                 formulas = [f for (_, _, f) in chosen]

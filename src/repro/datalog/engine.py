@@ -67,7 +67,7 @@ join_counter = JoinCounter()
 class _AtomPlan:
     """Pre-extracted match structure of one relational body atom."""
 
-    __slots__ = ("pred", "consts", "var_terms", "vars")
+    __slots__ = ("pred", "consts", "var_terms")
 
     def __init__(self, atom: Atom):
         self.pred = atom.pred
@@ -79,7 +79,6 @@ class _AtomPlan:
         self.var_terms = tuple(
             (pos, term) for pos, term in enumerate(atom.args)
             if isinstance(term, Var))
-        self.vars = frozenset(v for _, v in self.var_terms)
 
 
 def _check_neqs(neqs: tuple[Neq, ...], env: dict[Var, Element]) -> bool:
@@ -105,27 +104,29 @@ def _check_neqs(neqs: tuple[Neq, ...], env: dict[Var, Element]) -> bool:
     return True
 
 
-def _seed_order(plans: list[_AtomPlan], seed: int) -> list[int]:
-    """Join order for one seed: the delta atom first, then greedily the
-    atom sharing the most already-bound variables (fewest new variables,
-    then authoring order, as tie-breaks)."""
-    remaining = [i for i in range(len(plans)) if i != seed]
+def _seed_order(var_sets: list[frozenset[Var]], seed: int,
+                ) -> tuple[int, ...]:
+    """Join order for one seed, given each body atom's variables: the delta
+    atom first, then greedily the atom sharing the most already-bound
+    variables (fewest new variables, then authoring order, as
+    tie-breaks)."""
+    remaining = [i for i in range(len(var_sets)) if i != seed]
     order = [seed]
-    bound = set(plans[seed].vars)
+    bound = set(var_sets[seed])
     while remaining:
         def gain(i: int) -> tuple:
-            vs = plans[i].vars
+            vs = var_sets[i]
             return (-len(vs & bound), len(vs - bound), i)
         nxt = min(remaining, key=gain)
         order.append(nxt)
         remaining.remove(nxt)
-        bound |= plans[nxt].vars
-    return order
+        bound |= var_sets[nxt]
+    return tuple(order)
 
 
 def _join(
-    plans: list[_AtomPlan],
-    order: list[int],
+    plans: tuple[_AtomPlan, ...],
+    order: tuple[int, ...],
     facts: Interpretation,
     delta: Interpretation | None,
     seed: int,
@@ -181,6 +182,32 @@ def _join(
     yield from rec(0)
 
 
+class _RulePlan:
+    """A rule body's join plan: its atom plans, inequality literals and the
+    join order of every semi-naive seed.  Built once per rule and cached
+    on it (see :func:`_rule_plan`)."""
+
+    __slots__ = ("plans", "neqs", "seed_orders")
+
+    def __init__(self, rule: Rule):
+        atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
+        self.plans = tuple(_AtomPlan(atom) for atom in atoms)
+        self.neqs = tuple(lit for lit in rule.body if isinstance(lit, Neq))
+        var_sets = [frozenset(t for t in atom.args if isinstance(t, Var))
+                    for atom in atoms]
+        self.seed_orders = tuple(_seed_order(var_sets, seed)
+                                 for seed in range(len(atoms)))
+
+
+def _rule_plan(rule: Rule) -> _RulePlan:
+    # getattr: a rule built without Rule.__init__ has no cache slot yet.
+    plan = getattr(rule, "_join_plan", None)
+    if plan is None:
+        plan = _RulePlan(rule)
+        object.__setattr__(rule, "_join_plan", plan)
+    return plan
+
+
 def _match_body(
     rule: Rule,
     facts: Interpretation,
@@ -193,27 +220,26 @@ def _match_body(
     delta, and each such assignment is yielded exactly once.  Inequality
     literals filter at the end of each complete assignment.
     """
-    atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
-    neqs = tuple(lit for lit in rule.body if isinstance(lit, Neq))
-    plans = [_AtomPlan(a) for a in atoms]
+    rule_plan = _rule_plan(rule)
+    plans, neqs = rule_plan.plans, rule_plan.neqs
 
     if delta is None:
         # Naive full join in authoring order (the optimizer's order_body
         # already placed bound-first atoms up front where it ran).
-        yield from _join(plans, list(range(len(atoms))), facts, None, -1, neqs)
+        yield from _join(plans, tuple(range(len(plans))), facts, None, -1,
+                         neqs)
         return
-    if not atoms:
+    if not plans:
         # A body of builtins only: matches whenever the (constant)
         # inequalities do.  Firing is idempotent, so re-yielding each
         # round only re-derives an already-known head fact.
         if _check_neqs(neqs, {}):
             yield {}
         return
-    for seed in range(len(atoms)):
+    for seed, order in enumerate(rule_plan.seed_orders):
         if delta.count(plans[seed].pred) == 0:
             continue
-        yield from _join(plans, _seed_order(plans, seed), facts, delta,
-                         seed, neqs)
+        yield from _join(plans, order, facts, delta, seed, neqs)
 
 
 def _fire(rule: Rule, env: dict[Var, Element]) -> Atom:

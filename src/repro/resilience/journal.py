@@ -42,6 +42,10 @@ class JournalError(ValueError):
 # Headerless files (journals from before versioning) stay readable.
 SCHEMA_VERSION = 1
 
+# One compact, key-sorted encoder for every record (json.dumps with
+# options would build a fresh encoder per call).
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
 
 @dataclass
 class JournalReplay:
@@ -164,17 +168,15 @@ class Journal:
             # The file-format header (see SCHEMA_VERSION).  Written
             # directly: it is not a caller record, so it never counts in
             # records_written and replay never surfaces it.
-            line = json.dumps(
-                {"kind": "journal-header", "schema": SCHEMA_VERSION},
-                separators=(",", ":"), sort_keys=True) + "\n"
+            line = _encode(
+                {"kind": "journal-header", "schema": SCHEMA_VERSION}) + "\n"
             os.write(self._fd, line.encode("utf-8"))
 
     def append(self, record: dict) -> None:
         """Append one record: a single atomic ``os.write`` of one line."""
         if self._fd is None:
             raise ValueError("journal is closed")
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True) + "\n"
+        line = _encode(record) + "\n"
         os.write(self._fd, line.encode("utf-8"))
         if self.fsync is True:
             os.fsync(self._fd)

@@ -35,19 +35,27 @@ class Attempt:
     SAT extra-null count; ``result`` one of ``yes``, ``no``, ``truncated``
     (chase depth bound reached without a definitive *no*), ``error`` (the
     solver raised, e.g. a branch explosion) or ``budget`` (the budget ran
-    out mid-rung).
+    out mid-rung).  Over a set of candidate tuples, a chase rung reads
+    ``truncated`` when it passed tuples on to the next rung; otherwise a
+    rung reads ``yes`` when the query holds for some tuple it examined
+    (for SAT: no countermodel at its bound) and ``no`` when it holds for
+    none.  ``settled`` counts the tuples the rung decided (None outside
+    the ladder).
     """
 
     engine: str
     bound: int
     result: str
     detail: str = ""
+    settled: int | None = None
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
             "engine": self.engine, "bound": self.bound, "result": self.result}
         if self.detail:
             out["detail"] = self.detail
+        if self.settled is not None:
+            out["settled"] = self.settled
         return out
 
 

@@ -6,8 +6,8 @@ from .chase import (
     chase_certain_answer, match_conjunction,
 )
 from .modelsearch import (
-    CertainAnswerResult, certain_answer, certain_answers, find_model,
-    is_consistent, query_formula,
+    CertainAnswerResult, certain_answer, find_model, is_consistent,
+    query_formula,
 )
 from .rules import (
     DisjunctiveRule, Head, NotConvertible, convert_ontology, convert_sentence,
@@ -19,7 +19,7 @@ __all__ = [
     "CertainEngine", "Explanation", "Branch", "ChaseAnswer", "ChaseError",
     "ChaseResult",
     "answer_from_chase", "chase", "chase_certain_answer", "match_conjunction",
-    "CertainAnswerResult", "certain_answer", "certain_answers", "find_model",
+    "CertainAnswerResult", "certain_answer", "find_model",
     "is_consistent", "query_formula", "DisjunctiveRule", "Head",
     "NotConvertible", "convert_ontology", "convert_sentence", "render_rules",
     "CNF",

@@ -13,6 +13,9 @@ Arbitration is **observable and budgeted**: every decision produces a
 :class:`repro.runtime.Outcome` (verdict, definitiveness, answering engine,
 fallback provenance, escalation-ladder trace, resources consumed), exposed
 via ``entails_outcome`` / ``consistency_outcome`` and ``last_outcome``.
+``certain_answers`` decides every candidate tuple in **one** ladder — one
+chase per chase rung, one countermodel search per still-pending tuple per
+SAT rung — and its outcome covers the whole candidate set.
 Under a :class:`repro.runtime.Budget` the engine climbs an escalation
 ladder — geometrically growing chase depths and SAT domain bounds under
 the remaining budget — and degrades to an explicit
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Hashable, Literal, Sequence
 
 from ..logic.instance import Interpretation
 from ..logic.ontology import Ontology
@@ -37,19 +40,32 @@ from ..logic.syntax import Atom, Element
 from ..obs import current_tracer
 from ..queries.cq import CQ, UCQ
 from ..runtime import (
-    Attempt, Budget, BudgetExceeded, Outcome, Verdict, chase_rungs, sat_rungs,
+    Attempt, Budget, BudgetExceeded, Outcome, ResourceExhausted, Verdict,
+    chase_rungs, sat_rungs,
 )
-from .chase import ChaseError, answer_from_chase, chase
+from .chase import ChaseError, ChaseResult, answer_from_chase, chase
 from .modelsearch import certain_answer as sat_certain_answer
 from .modelsearch import find_model
 from .rules import DisjunctiveRule
 
 Backend = Literal["auto", "chase", "sat"]
 
-# chase_step returns ("yes" | "no" | "truncated", payload);
-# sat_step returns (bool, payload).  Payloads carry witness models.
-_ChaseStep = Callable[[int], tuple[str, "Interpretation | None"]]
-_SatStep = Callable[[int], tuple[bool, "Interpretation | None"]]
+# settle(chase_result, item) -> ("yes" | "no" | "truncated", witness);
+# search(item, extra) -> (holds, witness).  Witnesses are models.
+_Settle = Callable[[ChaseResult, Hashable],
+                   tuple[str, "Interpretation | None"]]
+_Search = Callable[[Hashable, int], tuple[bool, "Interpretation | None"]]
+
+
+@dataclass(frozen=True)
+class Decision:
+    """How the ladder settled one pending item (a candidate tuple, or the
+    consistency question): the verdict, whether it is definitive (else
+    bound-relative to the final SAT rung), and the model behind it."""
+
+    holds: bool
+    definitive: bool
+    witness: Interpretation | None = None
 
 
 @dataclass
@@ -150,20 +166,31 @@ class CertainEngine:
 
     def _decide(
         self,
+        instance: Interpretation,
         budget: Budget,
-        chase_step: _ChaseStep,
-        sat_step: _SatStep,
+        items: Sequence[Hashable],
+        settle: _Settle,
+        search: _Search,
         sat_terminal: bool,
         chase_reasons: dict[str, str],
         sat_reasons: tuple[str, str],
-    ) -> tuple[Outcome, Interpretation | None]:
+    ) -> tuple[Outcome, dict[Hashable, Decision]]:
         """The escalation ladder shared by entailment and consistency.
 
-        Chase rungs run first (when applicable); a definitive rung wins.
-        Otherwise SAT rungs take over under the remaining budget; a rung
-        whose boolean result equals *sat_terminal* is definitive (a concrete
-        (counter)model was found), the final rung's other answer is
-        bound-relative.  Budget exhaustion yields verdict UNKNOWN.
+        The ladder settles a set of pending *items* rung by rung.  Each
+        chase rung runs the chase of *instance* once and reads every
+        pending item off that one result with *settle*; items it leaves
+        truncated move on.  Each SAT rung then runs *search* once per item
+        still pending: an answer equal to *sat_terminal* is definitive (a
+        concrete (counter)model was found), the final rung's other answer
+        is bound-relative.  Budget exhaustion yields verdict UNKNOWN for
+        the whole set.
+
+        The returned :class:`Outcome` covers every item: YES when some
+        item holds, definitive only when every item was settled
+        definitively, engine ``sat`` when a SAT rung settled any item, and
+        one attempt per rung carrying the number of items it settled.  An
+        empty item set yields a fresh NO without running a rung.
 
         Observability: the whole decision is one ``certain.decide`` span,
         each rung a ``rung.chase``/``rung.sat`` child span (failed rungs —
@@ -171,111 +198,150 @@ class CertainEngine:
         wall time is accumulated on the budget so it lands in
         ``Outcome.usage.phases`` even with tracing disabled.
         """
-        with current_tracer().span("certain.decide") as span:
-            outcome, payload = self._decide_rungs(
-                budget, chase_step, sat_step, sat_terminal,
+        with current_tracer().span("certain.decide",
+                                   candidates=len(items)) as span:
+            outcome, decided = self._decide_rungs(
+                instance, budget, items, settle, search, sat_terminal,
                 chase_reasons, sat_reasons)
             span.set(verdict=outcome.verdict.value, engine=outcome.engine,
                      definitive=outcome.definitive,
                      rungs=len(outcome.attempts))
-            return outcome, payload
+            return outcome, decided
 
     def _decide_rungs(
         self,
+        instance: Interpretation,
         budget: Budget,
-        chase_step: _ChaseStep,
-        sat_step: _SatStep,
+        items: Sequence[Hashable],
+        settle: _Settle,
+        search: _Search,
         sat_terminal: bool,
         chase_reasons: dict[str, str],
         sat_reasons: tuple[str, str],
-    ) -> tuple[Outcome, Interpretation | None]:
+    ) -> tuple[Outcome, dict[Hashable, Decision]]:
         tracer = current_tracer()
         attempts: list[Attempt] = []
+        decided: dict[Hashable, Decision] = {}
+        reasons: dict[str, None] = {}  # insertion-ordered set
+        pending = list(items)
         fallback: str | None = None
+        sat_settled = False
 
-        def exhausted(exc: BudgetExceeded) -> tuple[Outcome, None]:
+        def exhausted(exc: BudgetExceeded) -> tuple[Outcome, dict]:
             return Outcome.exhausted_outcome(
-                exc, tuple(attempts), budget.usage()), None
+                exc, tuple(attempts), budget.usage()), decided
+
+        if not pending:
+            return Outcome(
+                verdict=Verdict.NO, definitive=True, engine="none",
+                reason="no candidate tuples: the domain is empty",
+                usage=budget.usage()), decided
 
         if self.uses_chase:
             for depth in chase_rungs(self.chase_depth, budget.escalate):
                 rung_start = time.perf_counter()
-                with tracer.span("rung.chase", bound=depth) as rung:
+                with tracer.span("rung.chase", bound=depth,
+                                 pending=len(pending)) as rung:
+                    still: list[Hashable] = []
+                    answers: set[str] = set()
                     try:
                         try:
                             budget.check_deadline("certain.chase")
-                            verdict, payload = chase_step(depth)
+                            result = chase(self.onto, instance,
+                                           rules=self._rules,
+                                           max_depth=depth, budget=budget)
+                            for item in pending:
+                                verdict, witness = settle(result, item)
+                                if verdict == "truncated":
+                                    still.append(item)
+                                    continue
+                                answers.add(verdict)
+                                reasons[chase_reasons[verdict]] = None
+                                decided[item] = Decision(
+                                    verdict == "yes", True, witness)
                         finally:
                             budget.add_phase(
                                 "chase", time.perf_counter() - rung_start)
                     except ChaseError as exc:
                         rung.fail(f"chase error: {exc}")
-                        attempts.append(Attempt("chase", depth, "error", str(exc)))
+                        attempts.append(Attempt(
+                            "chase", depth, "error", str(exc), settled=0))
                         fallback = f"chase error at depth {depth}: {exc}"
                         break
                     except BudgetExceeded as exc:
                         rung.fail(f"budget: {exc}")
-                        attempts.append(Attempt("chase", depth, "budget", str(exc)))
+                        attempts.append(Attempt(
+                            "chase", depth, "budget", str(exc), settled=0))
                         if exc.resource == "deadline":
                             return exhausted(exc)
-                        fallback = f"chase budget exhausted at depth {depth}: {exc}"
+                        fallback = (f"chase budget exhausted at depth "
+                                    f"{depth}: {exc}")
                         break
-                    rung.set(result=verdict)
-                    if verdict in ("yes", "no"):
-                        attempts.append(Attempt("chase", depth, verdict))
-                        outcome = Outcome(
-                            verdict=Verdict.YES if verdict == "yes" else Verdict.NO,
-                            definitive=True,
-                            engine="chase",
-                            reason=chase_reasons[verdict],
-                            fallback=None,
-                            attempts=tuple(attempts),
-                            usage=budget.usage(),
-                        )
-                        return outcome, payload
-                    attempts.append(Attempt("chase", depth, "truncated"))
+                    settled = len(pending) - len(still)
+                    label = ("truncated" if still
+                             else "yes" if "yes" in answers else "no")
+                    rung.set(result=label, settled=settled)
+                    attempts.append(Attempt(
+                        "chase", depth, label, settled=settled))
+                    pending = still
+                    if not pending:
+                        break
                     fallback = f"chase truncated at depth {depth}"
 
-        payload: Interpretation | None = None
-        holds = sat_terminal  # placeholder; overwritten below
-        rungs = sat_rungs(self.sat_extra, budget.escalate)
-        for extra in rungs:
-            rung_start = time.perf_counter()
-            with tracer.span("rung.sat", bound=extra) as rung:
-                try:
+        if pending:
+            rungs = sat_rungs(self.sat_extra, budget.escalate)
+            for index, extra in enumerate(rungs):
+                final = index == len(rungs) - 1
+                rung_start = time.perf_counter()
+                with tracer.span("rung.sat", bound=extra,
+                                 pending=len(pending)) as rung:
+                    still = []
+                    any_holds = False
                     try:
-                        budget.check_deadline("certain.sat")
-                        holds, payload = sat_step(extra)
-                    finally:
-                        budget.add_phase(
-                            "sat", time.perf_counter() - rung_start)
-                except BudgetExceeded as exc:
-                    rung.fail(f"budget: {exc}")
-                    attempts.append(Attempt("sat", extra, "budget", str(exc)))
-                    return exhausted(exc)
-                rung.set(result="yes" if holds else "no")
-                attempts.append(Attempt("sat", extra, "yes" if holds else "no"))
-                if holds == sat_terminal:
-                    return Outcome(
-                        verdict=Verdict.YES if holds else Verdict.NO,
-                        definitive=True,
-                        engine="sat",
-                        reason=sat_reasons[0],
-                        fallback=fallback,
-                        attempts=tuple(attempts),
-                        usage=budget.usage(),
-                    ), payload
-        # The final rung's non-terminal answer: definitive only relative to
-        # the domain bound.
+                        try:
+                            for item in pending:
+                                budget.check_deadline("certain.sat")
+                                holds, witness = search(item, extra)
+                                any_holds |= holds
+                                if holds == sat_terminal:
+                                    reasons[sat_reasons[0]] = None
+                                    decided[item] = Decision(
+                                        holds, True, witness)
+                                elif final:
+                                    reasons[sat_reasons[1].format(
+                                        extra=extra)] = None
+                                    decided[item] = Decision(
+                                        holds, False, witness)
+                                else:
+                                    still.append(item)
+                        finally:
+                            budget.add_phase(
+                                "sat", time.perf_counter() - rung_start)
+                    except BudgetExceeded as exc:
+                        rung.fail(f"budget: {exc}")
+                        attempts.append(Attempt(
+                            "sat", extra, "budget", str(exc), settled=0))
+                        return exhausted(exc)
+                    settled = len(pending) - len(still)
+                    sat_settled |= settled > 0
+                    label = "yes" if any_holds else "no"
+                    rung.set(result=label, settled=settled)
+                    attempts.append(Attempt(
+                        "sat", extra, label, settled=settled))
+                    pending = still
+                    if not pending:
+                        break
+
         return Outcome(
-            verdict=Verdict.YES if holds else Verdict.NO,
-            definitive=False,
-            engine="sat",
-            reason=sat_reasons[1].format(extra=rungs[-1]),
-            fallback=fallback,
+            verdict=(Verdict.YES if any(d.holds for d in decided.values())
+                     else Verdict.NO),
+            definitive=all(d.definitive for d in decided.values()),
+            engine="sat" if sat_settled else "chase",
+            reason="; ".join(reasons),
+            fallback=fallback if sat_settled else None,
             attempts=tuple(attempts),
             usage=budget.usage(),
-        ), payload
+        ), decided
 
     # -- entailment ----------------------------------------------------------
 
@@ -287,23 +353,25 @@ class CertainEngine:
         budget: Budget | None = None,
     ) -> Outcome:
         """Decide ``O, D |= q(answer)`` with full provenance."""
-        outcome, _ = self._entails_decision(instance, query, answer, budget)
+        outcome, _ = self._entailment(instance, query, [tuple(answer)],
+                                      budget)
         return outcome
 
-    def _entails_decision(
+    def _entailment(
         self,
         instance: Interpretation,
         query: CQ | UCQ,
-        answer: Sequence[Element],
+        candidates: Sequence[tuple[Element, ...]],
         budget: Budget | None,
         keep_witness: bool = False,
-    ) -> tuple[Outcome, Interpretation | None]:
+    ) -> tuple[Outcome, dict[Hashable, Decision]]:
+        """Decide ``O, D |= q(t)`` for every candidate tuple *t* in one
+        ladder (see :meth:`_decide`)."""
         self._preflight_workload(instance, query)
         budget = self._resolve_budget(budget)
 
-        def chase_step(depth: int) -> tuple[str, Interpretation | None]:
-            result = chase(self.onto, instance, rules=self._rules,
-                           max_depth=depth, budget=budget)
+        def settle(result: ChaseResult, answer: Hashable,
+                   ) -> tuple[str, Interpretation | None]:
             ans = answer_from_chase(result, query, answer)
             if ans.holds:
                 # a chase *yes* is definitive even on truncated branches
@@ -316,13 +384,15 @@ class CertainEngine:
                 return "no", ans.refuting_branch
             return "truncated", None
 
-        def sat_step(extra: int) -> tuple[bool, Interpretation | None]:
+        def search(answer: Hashable, extra: int,
+                   ) -> tuple[bool, Interpretation | None]:
             result = sat_certain_answer(
-                self.onto, instance, query, answer, extra=extra, budget=budget)
+                self.onto, instance, query, answer, extra=extra,
+                budget=budget)
             return result.holds, result.countermodel
 
-        outcome, payload = self._decide(
-            budget, chase_step, sat_step,
+        outcome, decided = self._decide(
+            instance, budget, candidates, settle, search,
             sat_terminal=False,
             chase_reasons={
                 "yes": "query holds in every consistent chase branch",
@@ -334,7 +404,7 @@ class CertainEngine:
             ),
         )
         self.last_outcome = outcome
-        return outcome, payload
+        return outcome, decided
 
     def entails(
         self,
@@ -356,18 +426,35 @@ class CertainEngine:
         query: CQ | UCQ,
         budget: Budget | None = None,
     ) -> set[tuple[Element, ...]]:
-        """All certain answer tuples over dom(D).
+        """All certain answer tuples over dom(D), in one ladder.
 
-        A supplied *budget* is shared across every candidate tuple, so a
-        deadline bounds the whole enumeration.
+        Every tuple of dom(D)^arity is a candidate, and each chase rung
+        runs the chase **once** for all of them (the consistent branches
+        form a universal family, so one run decides every tuple it does
+        not leave truncated); only the tuples still pending reach the SAT
+        rungs.  A supplied *budget* is shared across the rungs, so a
+        deadline bounds the whole enumeration.  ``last_outcome`` then
+        describes the whole candidate set; raises
+        :class:`repro.runtime.ResourceExhausted` when the budget ran out.
         """
-        budget = self._resolve_budget(budget)
-        out: set[tuple[Element, ...]] = set()
         domain = sorted(instance.dom(), key=repr)
-        for combo in itertools.product(domain, repeat=query.arity):
-            if self.entails(instance, query, combo, budget=budget):
-                out.add(combo)
-        return out
+        return self._certain(
+            instance, query,
+            list(itertools.product(domain, repeat=query.arity)), budget)
+
+    def _certain(
+        self,
+        instance: Interpretation,
+        query: CQ | UCQ,
+        candidates: Sequence[tuple[Element, ...]],
+        budget: Budget | None,
+    ) -> set[tuple[Element, ...]]:
+        """The certain tuples among *candidates*, in one ladder."""
+        outcome, decided = self._entailment(instance, query, candidates,
+                                            budget)
+        if outcome.exhausted:
+            raise ResourceExhausted(outcome)
+        return {t for t, d in decided.items() if d.holds}
 
     # -- consistency ---------------------------------------------------------
 
@@ -380,27 +467,27 @@ class CertainEngine:
         self._preflight_workload(instance)
         budget = self._resolve_budget(budget)
 
-        def chase_step(depth: int) -> tuple[str, Interpretation | None]:
-            result = chase(self.onto, instance, rules=self._rules,
-                           max_depth=depth, budget=budget)
-            consistent = result.consistent_branches()
+        def settle(result: ChaseResult, _item: Hashable,
+                   ) -> tuple[str, Interpretation | None]:
             # A *complete* consistent branch is closed under every rule and
             # is therefore a genuine model.  A consistent-but-truncated
             # branch is not a witness: firing the skipped existential
             # triggers may yet derive an inconsistency, so escalate.
-            complete = [b for b in consistent if b.complete]
+            complete = [b for b in result.consistent_branches()
+                        if b.complete]
             if complete:
                 return "yes", complete[0].interp
             if result.fully_chased:
                 return "no", None
             return "truncated", None
 
-        def sat_step(extra: int) -> tuple[bool, Interpretation | None]:
+        def search(_item: Hashable, extra: int,
+                   ) -> tuple[bool, Interpretation | None]:
             model = find_model(self.onto, instance, extra, budget=budget)
             return model is not None, model
 
         outcome, _ = self._decide(
-            budget, chase_step, sat_step,
+            instance, budget, [()], settle, search,
             sat_terminal=True,
             chase_reasons={
                 "yes": "chase produced a consistent branch",
@@ -444,10 +531,12 @@ class CertainEngine:
         the verdict.  Raises :class:`repro.runtime.ResourceExhausted` on
         budget exhaustion.
         """
-        outcome, payload = self._entails_decision(
-            instance, query, answer, budget, keep_witness=True)
+        answer = tuple(answer)
+        outcome, decided = self._entailment(
+            instance, query, [answer], budget, keep_witness=True)
         holds = outcome.holds  # raises ResourceExhausted on UNKNOWN
-        return Explanation(holds, payload, outcome.reason, outcome)
+        return Explanation(holds, decided[answer].witness, outcome.reason,
+                           outcome)
 
     # -- saturation ----------------------------------------------------------
 
@@ -456,8 +545,10 @@ class CertainEngine:
         """The O-saturation D_O: add all entailed facts over dom(D).
 
         (Section 8: the unique minimal O-saturated instance containing D.)
-        Only relations from sig(O) ∪ sig(D) are considered.  A supplied
-        *budget* is shared across the whole saturation.
+        Only relations from sig(O) ∪ sig(D) are considered; each relation
+        is one certain-answer ladder over the tuples of dom(D)^arity that
+        are not already facts of D.  A supplied *budget* is shared across
+        the whole saturation.
         """
         budget = self._resolve_budget(budget)
         sig = dict(instance.sig())
@@ -466,13 +557,12 @@ class CertainEngine:
         out = instance.copy()
         domain = sorted(instance.dom(), key=repr)
         for pred, arity in sorted(sig.items()):
-            for combo in itertools.product(domain, repeat=arity):
-                fact = Atom(pred, combo)
-                if fact in out:
-                    continue
-                query = _atom_query(pred, arity)
-                if self.entails(instance, query, combo, budget=budget):
-                    out.add(fact)
+            candidates = [combo for combo in
+                          itertools.product(domain, repeat=arity)
+                          if Atom(pred, combo) not in instance]
+            for combo in self._certain(instance, _atom_query(pred, arity),
+                                       candidates, budget):
+                out.add(Atom(pred, combo))
         return out
 
 

@@ -16,7 +16,7 @@ homomorphic image of some branch (preserving dom(D)).  Consequently
 
 * ``q`` certain  iff  ``q`` holds in every consistent branch,
 * a *yes* derived from (even truncated) branches is definitive,
-* a *no* is definitive only when the refuting branch was fully chased.
+* a *no* is definitive only when some refuting branch was fully chased.
 
 Nulls carry a creation depth; branches that would need nulls deeper than
 ``max_depth`` are truncated and marked incomplete.
@@ -335,14 +335,27 @@ def answer_from_chase(
     query: CQ | UCQ,
     answer: Sequence[Element] = (),
 ) -> ChaseAnswer:
-    """Read off the certain-answer verdict from an already-run chase."""
+    """Read off the certain-answer verdict from an already-run chase.
+
+    *no* is definitive when **any** complete consistent branch refutes the
+    tuple, wherever it sits among the branches; a refutation found only
+    on truncated branches is not.
+    """
     consistent = result.consistent_branches()
     if not consistent:
         # D is inconsistent w.r.t. O: every tuple is a certain answer.
         return ChaseAnswer(True, result.fully_chased)
+    answer = tuple(answer)
+    truncated_refutation: Interpretation | None = None
     for branch in consistent:
-        if not query.holds(branch.interp, tuple(answer)):
-            return ChaseAnswer(False, branch.complete, branch.interp)
+        if query.holds(branch.interp, answer):
+            continue
+        if branch.complete:
+            return ChaseAnswer(False, True, branch.interp)
+        if truncated_refutation is None:
+            truncated_refutation = branch.interp
+    if truncated_refutation is not None:
+        return ChaseAnswer(False, False, truncated_refutation)
     return ChaseAnswer(True, True)
 
 

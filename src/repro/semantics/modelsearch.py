@@ -168,21 +168,3 @@ def certain_answer(
     if counter is not None:
         return CertainAnswerResult(False, counter, bound)
     return CertainAnswerResult(True, None, bound)
-
-
-def certain_answers(
-    onto: Ontology,
-    instance: Interpretation,
-    query: CQ | UCQ,
-    extra: int = 2,
-) -> set[tuple[Element, ...]]:
-    """All certain answer tuples over dom(D) (brute force over tuples)."""
-    import itertools
-
-    arity = query.arity
-    domain = sorted(instance.dom(), key=repr)
-    out: set[tuple[Element, ...]] = set()
-    for combo in itertools.product(domain, repeat=arity):
-        if certain_answer(onto, instance, query, combo, extra):
-            out.add(combo)
-    return out

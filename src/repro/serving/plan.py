@@ -27,7 +27,7 @@ materializable, hence unravelling tolerant — the PTIME side of the paper's
 dichotomy), and the Theorem-5 Datalog≠ rewriting both emits and passes the
 static admissibility analysis of :mod:`repro.analysis.program`, the plan
 becomes a ``datalog-fastpath`` plan: evaluation is one stratified
-semi-naive fixpoint instead of a per-candidate-tuple chase.  Every
+semi-naive fixpoint instead of the ladder's chase and SAT rungs.  Every
 refusal records its reason (``fastpath_reason``) and falls back to the
 ladder — the fast path is an optimization gate, never a soundness risk.
 """
