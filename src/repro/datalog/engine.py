@@ -200,7 +200,9 @@ class _RulePlan:
 
 
 def _rule_plan(rule: Rule) -> _RulePlan:
-    # getattr: a rule built without Rule.__init__ has no cache slot yet.
+    # Built on first use and cached on the rule, the way Atom caches its
+    # hash: not a dataclass field, so it takes no part in equality,
+    # hashing or repr.
     plan = getattr(rule, "_join_plan", None)
     if plan is None:
         plan = _RulePlan(rule)

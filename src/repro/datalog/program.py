@@ -37,10 +37,6 @@ class Rule:
     def __init__(self, head: Atom, body: Sequence[BodyLiteral]):
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", tuple(body))
-        # The evaluation engine's join plan, built on first use and cached
-        # here (repro.datalog.engine); not a field, so it takes no part in
-        # equality, hashing or repr.
-        object.__setattr__(self, "_join_plan", None)
         bound: set[Var] = set()
         for lit in self.body:
             if isinstance(lit, Atom):

@@ -251,6 +251,7 @@ class CertainEngine:
                                            rules=self._rules,
                                            max_depth=depth, budget=budget)
                             for item in pending:
+                                budget.check_deadline("certain.chase")
                                 verdict, witness = settle(result, item)
                                 if verdict == "truncated":
                                     still.append(item)

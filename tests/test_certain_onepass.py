@@ -311,3 +311,44 @@ def test_complete_refuting_branch_decides_no(no_ambient_faults):
     assert outcome.verdict is Verdict.NO
     assert outcome.engine == "chase"
     assert len(outcome.attempts) == 1
+
+
+# -- deadlines inside the settle phase -----------------------------------------
+
+
+def test_deadline_fires_while_settling_a_chase_rung(monkeypatch):
+    # The chase runs once per rung, then every candidate is read off its
+    # result; that read is a deadline checkpoint per candidate, as the
+    # per-tuple chase was.  Count the checkpoints the chase itself takes,
+    # then fire the deadline at the second candidate.
+    import repro.semantics.certain as certain
+
+    settled: list[int] = []
+    plans: list[FaultPlan] = []
+
+    def counting(result, query, answer):
+        settled.append(plans[-1].hits["deadline"])
+        return answer_from_chase(result, query, answer)
+
+    monkeypatch.setattr(certain, "answer_from_chase", counting)
+    instance = make_instance(*(f"Hand(h{i})" for i in range(5)))
+
+    def run(at: int):
+        plans.append(FaultPlan([FaultSpec("deadline", at=at)]))
+        settled.clear()
+        engine = CertainEngine(HAND)
+        budget = Budget(escalate=False, faults=plans[-1])
+        return engine._entailment(instance, HAND_QUERY,
+                                  _candidates(instance, HAND_QUERY),
+                                  budget)[0]
+
+    assert run(at=10**9).definitive
+    before_settle = settled[0] - 1
+    outcome = run(at=before_settle + 2)
+    assert outcome.exhausted
+    assert outcome.verdict is Verdict.UNKNOWN
+    assert "deadline" in outcome.reason
+    assert "certain.chase" in outcome.reason
+    assert len(settled) == 1  # one candidate read, then the deadline
+    assert [(a.engine, a.result) for a in outcome.attempts] == [
+        ("chase", "budget")]

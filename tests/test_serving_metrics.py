@@ -227,18 +227,18 @@ def test_answer_cache_swallows_disk_write_errors(tmp_path):
 # -- memo-hit metrics isolation (satellite bugfix) ----------------------------
 
 
-def test_memo_hit_returns_fresh_metrics_registry():
+def test_memo_hit_returns_fresh_metrics_registry(no_ambient_faults):
     clear_caches()
     data = make_instance("Hand(h)")
     first = compile_omq(ONTO, QUERY)
     first.evaluate(data)
-    # ladder_evals, not engine_chase: which engine answers depends on the
-    # ambient REPRO_FAULTS schedule (the CI fault job), the path does not.
+    assert first.metrics.counter("engine_chase").value == 1
     assert first.metrics.counter("ladder_evals").value == 1
     second = compile_omq(ONTO, QUERY)
     assert second is first  # memoized plan object
     # ... but the metrics registry is fresh: the previous caller's
     # observations must not leak into the new caller's report.
+    assert second.metrics.counter("engine_chase").value == 0
     assert second.metrics.counter("ladder_evals").value == 0
     assert second.metrics.histogram("eval_seconds").summary() == {"count": 0}
 
@@ -255,11 +255,13 @@ def test_cache_hits_observe_their_own_histogram():
     assert stats["cache_hit_seconds"]["count"] == 1  # lookup latency apart
 
 
-def test_reset_metrics_detaches_the_registry():
+def test_reset_metrics_detaches_the_registry(no_ambient_faults):
     clear_caches()
     plan = compile_omq(ONTO, QUERY)
     plan.evaluate(make_instance("Hand(h)"))
     snapshot = plan.reset_metrics()
+    assert snapshot.counter("engine_chase").value == 1
+    assert plan.metrics.counter("engine_chase").value == 0
     assert snapshot.counter("ladder_evals").value == 1
     assert plan.metrics.counter("ladder_evals").value == 0
 
