@@ -2,8 +2,7 @@
 
 Both reduction directions are exercised on graph coloring: the native CSP
 solver and the OMQ route (certain answer of the encoded ontology's query)
-must agree on every instance.  Includes the solver-ordering ablation for
-the homomorphism backend.
+must agree on every instance.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from repro.csp import (
     clique_template, encode_template, is_homomorphic, random_graph_instance,
     solve,
 )
-from repro.logic.homomorphism import find_homomorphism
 from repro.semantics.modelsearch import certain_answer
 
 
@@ -66,19 +64,6 @@ def test_ablation_ac3(benchmark):
         with_ac3 = solve(graph, K2, use_ac3=True)
         without = solve(graph, K2, use_ac3=False)
         assert (with_ac3 is None) == (without is None)
-        return True
-
-    assert benchmark(both)
-
-
-def test_ablation_hom_ordering(benchmark):
-    """Ablation: most-constrained-first vs static variable ordering."""
-    graph = cycle(8)
-
-    def both():
-        smart = find_homomorphism(graph, K2.interp)
-        static = find_homomorphism(graph, K2.interp, order_static=True)
-        assert (smart is None) == (static is None)
         return True
 
     assert benchmark(both)

@@ -33,9 +33,10 @@ import time
 import pytest
 
 from repro.csp import clique_template, encode_template, random_graph_instance
-from repro.datalog.engine import _fire, evaluate, join_counter
+from repro.datalog.engine import _fire, evaluate
 from repro.datalog.program import Program, Rule
 from repro.logic.instance import Interpretation
+from repro.logic.match import join_counter
 from repro.logic.syntax import Atom, Const, Not, Var
 from repro.semantics.cdcl import Solver, solve_cnf
 from repro.semantics.sat import CNF, add_formula, dpll_basic, ground

@@ -73,7 +73,7 @@ def _match_atoms(
     env: Mapping[Var, Element],
 ) -> Iterator[dict[Var, Element]]:
     """Independent backtracking join (mirrors, but does not reuse, the
-    chase's ``match_conjunction``)."""
+    join kernel the chase matches with, :mod:`repro.logic.match`)."""
     bound = dict(env)
 
     def rec(idx: int) -> Iterator[dict[Var, Element]]:

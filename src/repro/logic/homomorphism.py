@@ -1,11 +1,11 @@
 """Homomorphisms between interpretations.
 
 A homomorphism ``h : A -> B`` maps dom(A) to dom(B) such that every fact of A
-is mapped to a fact of B.  The search is a backtracking constraint solver
-that always branches on the element with the most incident facts among those
-still unassigned (most-constrained-first), and propagates through fact
-constraints.  ``preserve`` pins a set of elements to themselves — the
-"preserves dom(D)" condition used throughout the paper.
+is mapped to a fact of B.  The search renames each element of A to a
+variable and matches A's facts into B with the shared join kernel
+(:mod:`repro.logic.match`), so every step reads one of B's index buckets.
+``preserve`` pins a set of elements to themselves — the "preserves dom(D)"
+condition used throughout the paper.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .instance import Interpretation
-from .syntax import Atom, Element
+from .match import Pattern
+from .syntax import Atom, Element, Var
 
 
 def find_homomorphism(
@@ -21,15 +22,13 @@ def find_homomorphism(
     target: Interpretation,
     preserve: Iterable[Element] = (),
     partial: Mapping[Element, Element] | None = None,
-    order_static: bool = False,
 ) -> dict[Element, Element] | None:
     """Return a homomorphism from *source* to *target*, or None.
 
     ``preserve`` elements must map to themselves; ``partial`` pre-binds
-    specific elements.  ``order_static`` disables the most-constrained-first
-    heuristic (used by the ablation benchmark).
+    specific elements.
     """
-    for hom in homomorphisms(source, target, preserve, partial, order_static):
+    for hom in homomorphisms(source, target, preserve, partial):
         return hom
     return None
 
@@ -48,83 +47,29 @@ def homomorphisms(
     target: Interpretation,
     preserve: Iterable[Element] = (),
     partial: Mapping[Element, Element] | None = None,
-    order_static: bool = False,
 ) -> Iterator[dict[Element, Element]]:
-    """Enumerate all homomorphisms from *source* to *target*."""
+    """Enumerate all homomorphisms from *source* to *target*.
+
+    Each yielded mapping also carries the ``preserve``/``partial`` entries
+    for elements outside dom(*source*).
+    """
     assignment: dict[Element, Element] = dict(partial or {})
     for e in preserve:
         if assignment.get(e, e) != e:
             return
         assignment[e] = e
-    src_elems = sorted(source.dom(), key=repr)
-    # Constraints: one per source fact.
-    facts = list(source)
-    # For each element, the facts it participates in (constraint degree).
-    degree = {e: 0 for e in src_elems}
-    for fact in facts:
-        for a in set(fact.args):
-            degree[a] += 1
-    if order_static:
-        ordering = src_elems
-    else:
-        ordering = sorted(src_elems, key=lambda e: (-degree[e], repr(e)))
-    # Verify pre-bound parts don't already violate fully-ground facts.
-    target_dom = target.dom()
-
-    def consistent(fact: Atom, env: dict[Element, Element]) -> bool:
-        """If all args of *fact* are bound, the image must be in target."""
-        image = []
-        for a in fact.args:
-            if a not in env:
-                return True
-            image.append(env[a])
-        return Atom(fact.pred, tuple(image)) in target
-
-    def candidates(elem: Element, env: dict[Element, Element]) -> list[Element]:
-        """Target elements *elem* may map to, narrowed via incident facts."""
-        best: list[Element] | None = None
-        for fact in source.facts_about(elem):
-            positions = [i for i, a in enumerate(fact.args) if a == elem]
-            pool: set[Element] = set()
-            # Any target fact with same predicate whose bound positions agree.
-            for args in target.tuples(fact.pred):
-                ok = True
-                for i, a in enumerate(fact.args):
-                    if a in env and args[i] != env[a]:
-                        ok = False
-                        break
-                if ok:
-                    for i in positions:
-                        pool.add(args[i])
-            if best is None or len(pool) < len(best):
-                best = sorted(pool, key=repr)
-            if not best:
-                return []
-        if best is None:
-            # Isolated element (cannot occur: active domain), map anywhere.
-            return sorted(target_dom, key=repr)
-        return best
-
-    def search(idx: int, env: dict[Element, Element]) -> Iterator[dict[Element, Element]]:
-        while idx < len(ordering) and ordering[idx] in env:
-            idx += 1
-        if idx == len(ordering):
-            yield dict(env)
-            return
-        elem = ordering[idx]
-        for cand in candidates(elem, env):
-            env[elem] = cand
-            if all(consistent(f, env) for f in source.facts_about(elem)):
-                yield from search(idx + 1, env)
-            del env[elem]
-
-    # Check facts whose elements are all pre-bound.
-    if not all(consistent(f, assignment) for f in facts):
-        return
-    for e, v in assignment.items():
-        if e in degree and v not in target_dom and degree[e] > 0:
-            return
-    yield from search(0, assignment)
+    elems = sorted(source.dom(), key=repr)
+    var_of = {e: Var(f"e{i}") for i, e in enumerate(elems)}
+    binding = {var_of[e]: v for e, v in assignment.items() if e in var_of}
+    pattern = Pattern(
+        [Atom(fact.pred, tuple(var_of[a] for a in fact.args))
+         for fact in source],
+        bound=binding)
+    for env in pattern.matches(target, binding):
+        hom = dict(assignment)
+        for e in elems:
+            hom[e] = env[var_of[e]]
+        yield hom
 
 
 def is_isomorphic_embedding(

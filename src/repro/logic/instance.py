@@ -7,9 +7,11 @@ of atoms over data constants and labelled nulls.  Both are represented by the
 condition.
 
 The class keeps per-predicate, per-element and per-``(pred, position,
-value)`` hash indexes, maintained incrementally on ``add``/``discard``, so
-that the Datalog engine's delta joins, guarded-quantifier model checking
-and homomorphism search never scan the full fact set to find candidates.
+value)`` hash indexes, maintained incrementally on ``add``/``discard``.
+:meth:`Interpretation.candidate_tuples` looks candidates up in them, so
+the join kernel (:mod:`repro.logic.match`, behind the chase, CQ answering,
+homomorphism search and Datalog) and guarded-quantifier model checking
+never scan the full fact set to find candidates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Interpretation:
         # element -> set of (pred, tuple) facts it appears in
         self._by_elem: dict[Element, set[tuple[str, tuple[Element, ...]]]] = {}
         # (pred, position, value) -> set of argument tuples with that value
-        # at that position; the join index of the Datalog/chase matchers.
+        # at that position; the join index of repro.logic.match.
         self._index: dict[tuple[str, int, Element], set[tuple[Element, ...]]] = {}
         self._arity: dict[str, int] = {}
         self._size = 0
@@ -176,7 +178,7 @@ class Interpretation:
     def nulls(self) -> frozenset[Null]:
         return frozenset(e for e in self._by_elem if isinstance(e, Null))
 
-    # -- matching (used by model checking & homomorphism search) -------------
+    # -- matching --------------------------------------------------------------
 
     def match_atom(
         self,
@@ -188,15 +190,20 @@ class Interpretation:
         Variables already bound must match; unbound variables are bound by
         each yielded dictionary (which contains only the *new* bindings).
         """
-        for args in self._candidate_tuples(atom, assignment):
+        bound = []
+        for pos, term in enumerate(atom.args):
+            value = assignment.get(term) if isinstance(term, Var) else term
+            if value is not None:
+                bound.append((pos, value))
+        for args in self.candidate_tuples(atom.pred, bound):
             new: dict[Var, Element] = {}
             ok = True
             for term, value in zip(atom.args, args):
                 if isinstance(term, Var):
-                    bound = assignment.get(term, new.get(term))
-                    if bound is None:
+                    bound_value = assignment.get(term, new.get(term))
+                    if bound_value is None:
                         new[term] = value
-                    elif bound != value:
+                    elif bound_value != value:
                         ok = False
                         break
                 elif term != value:
@@ -205,44 +212,15 @@ class Interpretation:
             if ok:
                 yield new
 
-    def _candidate_tuples(
-        self,
-        atom: Atom,
-        assignment: Mapping[Var, Element],
-    ) -> Iterable[tuple[Element, ...]]:
-        """Tuples possibly matching *atom*: the smallest ``(pred, position,
-        value)`` index bucket over the bound positions — one dict lookup
-        per bound position, never a scan."""
-        all_tuples = self._facts.get(atom.pred)
-        if not all_tuples:
-            return ()
-        best: Iterable[tuple[Element, ...]] = all_tuples
-        best_len = len(all_tuples)
-        index = self._index
-        for pos, term in enumerate(atom.args):
-            value: Element | None
-            if isinstance(term, Var):
-                value = assignment.get(term)
-            else:
-                value = term  # constant/null in the atom itself
-            if value is None:
-                continue
-            bucket = index.get((atom.pred, pos, value))
-            if bucket is None:
-                return ()  # a bound position with no occurrences: no match
-            if len(bucket) < best_len:
-                best = bucket
-                best_len = len(bucket)
-        return best
-
     def candidate_tuples(
         self,
         pred: str,
         bound: Iterable[tuple[int, Element]] = (),
     ) -> Iterable[tuple[Element, ...]]:
         """Argument tuples of *pred* compatible with the ``(position,
-        value)`` constraints in *bound* — the engine-facing form of
-        :meth:`_candidate_tuples` (smallest index bucket, or everything).
+        value)`` constraints in *bound*: the smallest index bucket over
+        the bound positions, or every tuple of *pred* — one dict lookup
+        per bound position, never a scan.
 
         The returned collection is a live internal set; callers must not
         mutate it or mutate the interpretation while iterating.
@@ -256,7 +234,7 @@ class Interpretation:
         for pos, value in bound:
             bucket = index.get((pred, pos, value))
             if bucket is None:
-                return ()
+                return ()  # a bound position with no occurrences: no match
             if len(bucket) < best_len:
                 best = bucket
                 best_len = len(bucket)

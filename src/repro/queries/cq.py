@@ -2,8 +2,11 @@
 
 A CQ ``q(x1,...,xk) <- phi`` is stored as a set of relational atoms over
 variables together with the tuple of answer variables.  The canonical
-database D_q replaces each variable by a constant (Section 2).  Evaluation is
-by homomorphism search from D_q into the target interpretation.
+database D_q replaces each variable by a constant (Section 2); ``q(a)``
+holds in an interpretation iff D_q maps into it homomorphically with the
+answer variables sent to ``a``.  Evaluation matches the query's own atoms
+with the shared join kernel (:mod:`repro.logic.match`) under that answer
+binding.
 
 A *rooted acyclic query* (rAQ) is a CQ whose canonical database has a
 connected guarded tree decomposition with the answer variables at the root
@@ -14,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ..logic.instance import Interpretation
-from ..logic.homomorphism import homomorphisms
+from ..logic.match import Pattern
 from ..logic.syntax import (
     And, Atom, Const, Element, Eq, Exists, Formula, Term, Top, Var,
 )
@@ -70,35 +73,44 @@ class CQ:
     def answers(self, interp: Interpretation) -> set[tuple[Element, ...]]:
         """All answer tuples of the query in *interp*."""
         out: set[tuple[Element, ...]] = set()
-        for env in self._matches(interp):
+        for env in self._patterns()[0].matches(interp):
             out.add(tuple(env[v] for v in self.answer_vars))
         return out
 
     def holds(self, interp: Interpretation, answer: Sequence[Element] = ()) -> bool:
         """Decide ``interp |= q(answer)``."""
+        binding = self.bind(answer)
+        if binding is None:
+            return False
+        for _ in self._patterns()[1].matches(interp, binding):
+            return True
+        return False
+
+    def bind(self, answer: Sequence[Element]) -> dict[Var, Element] | None:
+        """The answer variables bound to *answer*, or None when a repeated
+        answer variable would take two different values (no match can
+        then produce the tuple)."""
         answer = tuple(answer)
         if len(answer) != self.arity:
             raise QueryError(
                 f"expected {self.arity} answer elements, got {len(answer)}")
-        binding = dict(zip(self.answer_vars, answer))
-        for _ in self._matches(interp, binding):
-            return True
-        return False
+        binding: dict[Var, Element] = {}
+        for v, e in zip(self.answer_vars, answer):
+            if binding.setdefault(v, e) != e:
+                return None
+        return binding
 
-    def _matches(
-        self,
-        interp: Interpretation,
-        binding: dict[Var, Element] | None = None,
-    ) -> Iterator[dict[Var, Element]]:
-        db, var_map = self.canonical_database()
-        const_map = {c: v for v, c in var_map.items()}
-        partial: dict[Const, Element] = {}
-        if binding:
-            for v, e in binding.items():
-                if v in var_map:
-                    partial[var_map[v]] = e
-        for hom in homomorphisms(db, interp, partial=partial):
-            yield {const_map[c]: e for c, e in hom.items() if c in const_map}
+    def _patterns(self) -> tuple[Pattern, Pattern]:
+        # The query's atoms compiled with no variable bound (answers) and
+        # with the answer variables bound (holds), cached on the query.
+        # Sorted by repr so the join order does not depend on the hash
+        # seed.
+        patterns = getattr(self, "_match_patterns", None)
+        if patterns is None:
+            atoms = sorted(self.atoms, key=repr)
+            patterns = (Pattern(atoms), Pattern(atoms, bound=self.answer_vars))
+            object.__setattr__(self, "_match_patterns", patterns)
+        return patterns
 
     # -- structural tests ------------------------------------------------------
 

@@ -146,8 +146,10 @@ def evaluate_split(
     Boolean components are independent of the answer tuple and of each
     other; answer components are evaluated with their projected tuples.
     """
+    binding = query.bind(answer)
+    if binding is None:
+        return False
     split = component_split(query)
-    binding = dict(zip(query.answer_vars, answer))
     for component in split.boolean_components:
         if not component.holds(interp):
             return False

@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 
 from ..analysis.sanitizers import chase_sanitizer
 from ..logic.instance import Interpretation
+from ..logic.match import Pattern
 from ..logic.ontology import Ontology
 from ..logic.syntax import Atom, Const, Element, Null, Var
 from ..obs import current_tracer
@@ -99,49 +100,23 @@ class ChaseResult:
         return branch.interp
 
 
-def match_conjunction(
-    atoms: Sequence[Atom],
-    interp: Interpretation,
-    env: dict[Var, Element] | None = None,
-) -> Iterator[dict[Var, Element]]:
-    """Enumerate assignments making all atoms true (backtracking join).
-
-    Atoms are ordered dynamically: each step continues with the pending
-    atom whose ``(pred, position, value)`` index bucket is smallest under
-    the bindings so far, so bound-variable-rich (and constant-rich) atoms
-    run first and the join fails fast on empty buckets.
-    """
-    env = dict(env or {})
-    pending = list(atoms)
-
-    def bucket_size(atom: Atom) -> int:
-        bound = []
-        for pos, term in enumerate(atom.args):
-            if isinstance(term, Var):
-                value = env.get(term)
-                if value is not None:
-                    bound.append((pos, value))
-            else:
-                bound.append((pos, term))
-        return len(interp.candidate_tuples(atom.pred, bound))
-
-    def rec() -> Iterator[dict[Var, Element]]:
-        if not pending:
-            yield dict(env)
-            return
-        best = min(range(len(pending)), key=lambda i: bucket_size(pending[i]))
-        atom = pending.pop(best)
-        for ext in interp.match_atom(atom, env):
-            env.update(ext)
-            yield from rec()
-            for v in ext:
-                del env[v]
-        pending.insert(best, atom)
-
-    yield from rec()
+def _rule_patterns(rule: DisjunctiveRule) -> tuple[Pattern, tuple[Pattern, ...]]:
+    """The rule's body pattern and one pattern per head, compiled on first
+    use and cached on the rule (not a dataclass field, so it takes no part
+    in equality, hashing or repr).  A head is matched with the body and
+    frontier variables bound, so those count as bound in its join order."""
+    patterns = getattr(rule, "_match_patterns", None)
+    if patterns is None:
+        bound = rule.body_vars() | rule.frontier_vars()
+        patterns = (Pattern(rule.body),
+                    tuple(Pattern(head.atoms, bound=bound)
+                          for head in rule.heads))
+        object.__setattr__(rule, "_match_patterns", patterns)
+    return patterns
 
 
-def _head_satisfied(head: Head, interp: Interpretation, env: dict[Var, Element]) -> bool:
+def _head_satisfied(head: Head, pattern: Pattern, interp: Interpretation,
+                    env: dict[Var, Element]) -> bool:
     """Is the head disjunct already satisfied under the body match?"""
     if not head.exist_vars:
         return all(
@@ -149,7 +124,7 @@ def _head_satisfied(head: Head, interp: Interpretation, env: dict[Var, Element])
             for a in head.atoms
         )
     witnesses: set[tuple[Element, ...]] = set()
-    for ext in match_conjunction(head.atoms, interp, env):
+    for ext in pattern.matches(interp, env):
         witnesses.add(tuple(ext[v] for v in head.exist_vars))
         if len(witnesses) >= head.count:
             return True
@@ -169,13 +144,13 @@ def _apply_head(branch: Branch, head: Head, env: dict[Var, Element]) -> None:
 
 
 def _rule_matches(
-    rule: DisjunctiveRule,
+    body: Pattern,
     interp: Interpretation,
     domain: Sequence[Element],
     frontier: Sequence[Var],
 ) -> Iterator[dict[Var, Element]]:
     """Body matches extended over the active domain for frontier variables."""
-    for env in match_conjunction(rule.body, interp):
+    for env in body.matches(interp):
         if not frontier:
             yield env
             continue
@@ -270,8 +245,10 @@ def chase(
             domain = sorted(branch.interp.dom(), key=repr)
             for rule in rules:
                 frontier = sorted(rule.frontier_vars())
-                for env in _rule_matches(rule, branch.interp, domain, frontier):
-                    if any(_head_satisfied(h, branch.interp, env) for h in rule.heads):
+                body, heads = _rule_patterns(rule)
+                for env in _rule_matches(body, branch.interp, domain, frontier):
+                    if any(_head_satisfied(h, p, branch.interp, env)
+                           for h, p in zip(rule.heads, heads)):
                         continue
                     if rule.is_constraint():
                         branch.consistent = False

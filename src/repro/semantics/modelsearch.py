@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ..logic.instance import Interpretation, fresh_nulls
 from ..logic.ontology import Ontology
-from ..logic.syntax import Element, Formula, Not, Or, substitute
+from ..logic.syntax import Bottom, Element, Formula, Not, Or, substitute
 from ..obs import current_tracer
 from ..queries.cq import CQ, UCQ
 from ..runtime import Budget
@@ -29,9 +29,10 @@ from .sat import CNF, add_formula, dpll, ground, model_to_interpretation
 def query_formula(query: CQ | UCQ, answer: Sequence[Element]) -> Formula:
     """The sentence ``q(answer)`` (free answer variables instantiated)."""
     if isinstance(query, CQ):
-        phi = query.to_formula()
-        binding = dict(zip(query.answer_vars, answer))
-        return substitute(phi, binding)  # type: ignore[arg-type]
+        binding = query.bind(answer)
+        if binding is None:
+            return Bottom()
+        return substitute(query.to_formula(), binding)  # type: ignore[arg-type]
     parts = [query_formula(d, answer) for d in query.disjuncts]
     return Or.of(*parts)
 

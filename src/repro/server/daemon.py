@@ -619,6 +619,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Buffer each response and send it with one flush, with Nagle off.  An
+    # unbuffered handler sends the headers and the body as two small
+    # writes, and on a keep-alive connection Nagle's algorithm holds the
+    # body until the client's delayed ACK: about 40 ms per response.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def daemon(self) -> ReproServer:

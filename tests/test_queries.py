@@ -3,8 +3,10 @@
 import pytest
 
 from repro.logic.instance import make_instance
+from repro.logic.ontology import ontology
 from repro.logic.syntax import Const, Var
 from repro.queries.cq import CQ, UCQ, QueryError, parse_cq, parse_ucq
+from repro.semantics.certain import CertainEngine
 
 a, b, c = Const("a"), Const("b"), Const("c")
 
@@ -65,6 +67,52 @@ class TestEvaluation:
         assert q.holds(triangle)
         chain = make_instance("R(a,b)", "R(b,c)")
         assert not q.holds(chain)
+
+
+class TestRepeatedAnswerVariable:
+    """``q(x,x)`` answers only tuples that agree at the repeated variable;
+    a binding used to keep the last value and accept ``(c,a)`` here."""
+
+    QUERY = "q(x,x) <- R(x,y)"
+    DATA = ("R(a,b)", "S(c,c)")
+
+    def test_holds(self):
+        q = parse_cq(self.QUERY)
+        D = make_instance(*self.DATA)
+        assert q.answers(D) == {(a, a)}
+        assert q.holds(D, (a, a))
+        assert not q.holds(D, (c, a))
+        assert not q.holds(D, (b, a))
+        assert q.bind((c, a)) is None
+
+    def test_split_evaluation(self):
+        from repro.queries.split import evaluate_split
+        D = make_instance(*self.DATA)
+        assert evaluate_split(parse_cq(self.QUERY), D, (a, a))
+        assert not evaluate_split(parse_cq(self.QUERY), D, (c, a))
+
+    def test_query_formula_of_a_conflict_is_false(self):
+        from repro.logic.syntax import Bottom
+        from repro.semantics.modelsearch import query_formula
+        assert query_formula(parse_cq(self.QUERY), (c, a)) == Bottom()
+        assert query_formula(parse_ucq(self.QUERY), (c, a)) == Bottom()
+
+    @pytest.mark.parametrize("backend", ["chase", "sat"])
+    def test_certain_answers(self, backend):
+        engine = CertainEngine(ontology("forall x (A(x) -> B(x))"),
+                               backend=backend)
+        D = make_instance(*self.DATA)
+        assert engine.certain_answers(D, parse_cq(self.QUERY)) == {(a, a)}
+        assert not engine.entails(D, parse_cq(self.QUERY), (c, a))
+        ucq = parse_ucq(self.QUERY + " ; q(x,y) <- S(x,y)")
+        assert engine.certain_answers(D, ucq) == {(a, a), (c, c)}
+
+    @pytest.mark.parametrize("backend", ["chase", "sat"])
+    def test_inconsistent_instance_still_answers_every_tuple(self, backend):
+        engine = CertainEngine(ontology("forall x (A(x) -> ~B(x))"),
+                               backend=backend)
+        D = make_instance(*self.DATA, "A(a)", "B(a)")
+        assert engine.entails(D, parse_cq(self.QUERY), (c, a))
 
 
 class TestStructure:

@@ -283,6 +283,27 @@ def test_health_ready_and_unknown_routes(server):
     assert api(srv, "DELETE", "/v1/jobsets/zzz")[0] == 404
 
 
+def test_keep_alive_responses_are_not_held_back(server):
+    # Headers and body sent as two small writes let Nagle's algorithm hold
+    # the body until the client's delayed ACK (about 40 ms per response).
+    srv = server()
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+    try:
+        times = []
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", "/readyz")
+            resp = conn.getresponse()
+            resp.read()
+            times.append(time.perf_counter() - start)
+            assert resp.status == 200
+    finally:
+        conn.close()
+    times.sort()
+    median_ms = 1000 * (times[9] + times[10]) / 2
+    assert median_ms < 20, median_ms
+
+
 def test_bad_submissions_are_400(server):
     srv = server()
     cases = [
