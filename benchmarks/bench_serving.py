@@ -354,9 +354,10 @@ def storage_comparison(repeats: int = 9) -> dict:
     the operation a shared cache performs thousands of times per batch,
     so it is the one whose cost decides backend choice.  Each backend is
     pre-populated with the same entries; a pass reads them all back.
-    The dir: backend (today's DiskCache format) is the baseline; sqlite:
-    and shard: are each paired against it (:func:`_paired_best`, so
-    machine drift hits both sides equally) and gated at ≤25% overhead.
+    The dir: backend (the flat file store, one ``<key>.json`` per entry)
+    is the baseline; sqlite: and shard: are each paired against it
+    (:func:`_paired_best`, so machine drift hits both sides equally) and
+    gated at ≤25% overhead.
     """
     import os
     import shutil

@@ -3,8 +3,9 @@
 The storage subsystem's reason to exist is *sharing*: several ``repro
 batch`` processes pointed at one ``--cache-backend`` must coexist
 without corrupting it, and later runs must actually hit the answers
-earlier runs stored.  This script exercises that end to end for the two
-concurrency-capable backends:
+earlier runs stored.  This script exercises that end to end for all
+three backends — the flat ``dir:`` store too, whose atomic renames keep
+concurrent writers from tearing entries:
 
 1. a warm-up run populates the store;
 2. two ``repro batch`` subprocesses run **concurrently** against the
@@ -101,6 +102,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="storage-smoke-") as tmp:
         run_backend("sqlite", f"sqlite:{os.path.join(tmp, 'shared.db')}")
         run_backend("shard", f"shard:{os.path.join(tmp, 'shared')}?shards=8")
+        run_backend("dir", f"dir:{os.path.join(tmp, 'flat')}")
     print("STORAGE SMOKE OK")
     return 0
 

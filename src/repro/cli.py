@@ -14,13 +14,13 @@ Commands:
   ``--query-file`` (one query per line).
 * ``batch <ontology-file> --workload jobs.json [--jobs N]`` — the serving
   layer: evaluate a JSON workload of (instance, query) jobs with compiled
-  plans, answer caching (``--cache-dir`` persists it on disk) and an
-  optional process pool; the report aggregates per-job outcomes and
-  cache/latency stats (see ``docs/serving.md``).  ``--retry SPEC``
-  re-dispatches transient failures and worker crashes under escalated
-  budgets (repeat crashers are quarantined); ``--journal FILE`` records
-  every finished job crash-safely and ``--resume`` replays it, so a
-  killed batch picks up where it died.
+  plans, answer caching (``--cache-backend URI`` or ``--cache-dir DIR``
+  persists it) and an optional process pool; the report aggregates
+  per-job outcomes and cache/latency stats (see ``docs/serving.md``).
+  ``--retry SPEC`` re-dispatches transient failures and worker crashes
+  under escalated budgets (repeat crashers are quarantined);
+  ``--journal FILE`` records every finished job crash-safely and
+  ``--resume`` replays it, so a killed batch picks up where it died.
 * ``consistent <ontology-file> <data-file>`` — consistency check (same
   ``--timeout``/``--budget``/``--format`` options).
 * ``trace summarize <trace.jsonl>`` — analyze a JSONL trace written by
@@ -306,22 +306,13 @@ def _evaluate_many(args, engine, data, query_texts, parsed, budget) -> int:
 
 
 def _resolve_cache_backend(args: argparse.Namespace) -> str | None:
-    """The ``--cache-backend`` URI, falling back to ``REPRO_CACHE_BACKEND``.
-
-    ``--cache-dir`` keeps its historical meaning and takes the old code
-    path (``dir:`` semantics); giving both is an error.  The env default
-    applies only when neither flag is present, so an explicit flag always
-    wins over the environment.
-    """
+    """The durable-tier URI: ``--cache-backend`` (or ``--cache-dir``),
+    else ``REPRO_CACHE_BACKEND`` — an explicit flag always wins."""
     from .storage import default_backend_uri
 
-    cache_backend = getattr(args, "cache_backend", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_backend is not None and cache_dir is not None:
-        raise CliInputError("give --cache-dir or --cache-backend, not both")
-    if cache_backend is None and cache_dir is None:
-        cache_backend = default_backend_uri()
-    return cache_backend
+    if args.cache_backend is not None:
+        return args.cache_backend
+    return default_backend_uri()
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -351,7 +342,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         report = evaluate_batch(
             onto, jobs, workers=args.jobs, budget=budget,
             backend=args.backend, preflight=args.preflight,
-            cache_dir=args.cache_dir, cache_backend=cache_backend,
+            cache_backend=cache_backend,
             tracer=tracer, retry=retry,
             journal=args.journal, resume=args.resume,
             fastpath=args.fastpath)
@@ -400,7 +391,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server = ReproServer(
             host=args.host, port=args.port, workers=args.workers,
             journal=args.journal, resume=args.resume,
-            cache_dir=args.cache_dir, cache_backend=cache_backend,
+            cache_backend=cache_backend,
             backend=args.backend, fastpath=args.fastpath, retry=retry,
             max_queued_jobs=args.max_queue, high_water=args.high_water,
             rate=args.rate, burst=args.burst,
@@ -756,6 +747,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "evaluation (inspect with 'repro trace "
                             "summarize FILE')")
 
+    def add_cache_args(p: argparse.ArgumentParser) -> None:
+        # One setting, two spellings: --cache-dir DIR is --cache-backend
+        # dir:DIR, and giving both is a usage error (exit 2).
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--cache-dir", metavar="DIR", dest="cache_backend",
+                           type=lambda path: f"dir:{path}",
+                           help="on-disk answer cache (same as "
+                                "--cache-backend dir:DIR)")
+        group.add_argument("--cache-backend", metavar="URI",
+                           help="durable answer-cache backend shared across "
+                                "invocations and worker processes: dir:PATH, "
+                                "sqlite:PATH[?max_bytes=N&ttl=S] or "
+                                "shard:PATH[?shards=N] (see docs/storage.md; "
+                                "default: $REPRO_CACHE_BACKEND)")
+
     p_eval = sub.add_parser("evaluate", aliases=["eval"],
                             help="compute certain answers")
     p_eval.add_argument("ontology")
@@ -804,14 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--resume", action="store_true",
                          help="replay results already in --journal FILE "
                               "instead of recomputing them")
-    p_batch.add_argument("--cache-dir", metavar="DIR",
-                         help="on-disk answer cache, shared across "
-                              "invocations and workers")
-    p_batch.add_argument("--cache-backend", metavar="URI",
-                         help="durable answer-cache backend: dir:PATH, "
-                              "sqlite:PATH[?max_bytes=N&ttl=S] or "
-                              "shard:PATH[?shards=N] (see docs/storage.md; "
-                              "default: $REPRO_CACHE_BACKEND)")
+    add_cache_args(p_batch)
     p_batch.add_argument("--fastpath", choices=["off", "auto", "force"],
                          default="off",
                          help="compile statically-verified datalog-fastpath "
@@ -839,13 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay --journal FILE on startup: journaled "
                               "job sets are re-created, finished jobs are "
                               "not recomputed")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         help="on-disk answer cache shared across requests")
-    p_serve.add_argument("--cache-backend", metavar="URI",
-                         help="durable answer-cache backend URI shared by "
-                              "the daemon and its workers (see "
-                              "docs/storage.md; default: "
-                              "$REPRO_CACHE_BACKEND)")
+    add_cache_args(p_serve)
     p_serve.add_argument("--backend", choices=["auto", "chase", "sat"],
                          default="auto")
     p_serve.add_argument("--fastpath", choices=["off", "auto", "force"],

@@ -33,7 +33,6 @@ from ..logic.ontology import Ontology
 from ..logic.syntax import Atom, Element, Var
 from ..queries.cq import CQ
 from ..semantics.certain import CertainEngine
-from ..semantics.modelsearch import enumerate_models
 from .bouquets import enumerate_bouquets
 
 

@@ -88,54 +88,6 @@ def is_consistent(onto: Ontology, instance: Interpretation, extra: int = 2,
     return find_model(onto, instance, extra, budget=budget) is not None
 
 
-def enumerate_models(
-    onto: Ontology,
-    base: Interpretation,
-    extra: int = 2,
-    limit: int = 64,
-    require_true: Formula | None = None,
-    budget: Budget | None = None,
-) -> list[Interpretation]:
-    """Enumerate up to *limit* models over the bounded domain.
-
-    Models are distinguished by their relational atoms (blocking clauses);
-    the enumeration is exhaustive over the domain bound when fewer than
-    *limit* models are returned.
-    """
-    from .cdcl import Solver
-    from .sat import CNF, add_formula, ground
-
-    domain: list[Element] = sorted(base.dom(), key=repr)
-    domain += fresh_nulls("m", extra, avoid=base.dom())
-    if not domain:
-        return []
-    cnf = CNF()
-    for fact in base:
-        cnf.add_clause([cnf.atom_var((fact.pred, tuple(fact.args)))])
-    for sentence in onto.all_sentences():
-        add_formula(cnf, ground(sentence, domain))
-    if require_true is not None:
-        add_formula(cnf, ground(require_true, domain))
-    models: list[Interpretation] = []
-    blocking: list[list[int]] = []
-    while len(models) < limit:
-        if budget is not None:
-            budget.solver_runs += 1
-        solver = Solver(cnf.num_vars, cnf.clauses + blocking)
-        assignment = solver.solve(budget=budget)
-        if assignment is None:
-            break
-        from .sat import model_to_interpretation
-
-        model = model_to_interpretation(cnf, assignment)
-        models.append(model)
-        clause = []
-        for var, key in cnf.key_of.items():
-            clause.append(-var if assignment.get(var) else var)
-        blocking.append(clause)
-    return models
-
-
 @dataclass(frozen=True)
 class CertainAnswerResult:
     """Outcome of a certain-answer check."""

@@ -92,7 +92,6 @@ class ReproServer:
         workers: int = 1,
         journal: str | None = None,
         resume: bool = False,
-        cache_dir: str | None = None,
         cache_backend: str | None = None,
         backend: str = "auto",
         fastpath: str = "auto",
@@ -112,12 +111,9 @@ class ReproServer:
         self.workers = max(1, workers)
         self.journal_path = journal
         self.resume = resume
-        if cache_backend is not None and cache_dir is not None:
-            raise ValueError("pass cache_dir or cache_backend, not both")
         # One durable-tier URI for both the daemon's own AnswerCache and
         # the worker processes (each opens its own handle on it).
-        self.cache_uri = cache_backend or (
-            f"dir:{cache_dir}" if cache_dir else None)
+        self.cache_uri = cache_backend
         self.defaults = {"backend": backend, "fastpath": fastpath,
                          "preflight": preflight}
         self.retry = retry
@@ -211,11 +207,9 @@ class ReproServer:
         if self.journal is not None:
             self.journal.close()
             self.journal = None
-        backend = self.answer_cache.backend
-        if backend is not None:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()  # flushes sqlite's batched hit accounting
+        if self.answer_cache.backend is not None:
+            # Flushes sqlite's batched hit accounting.
+            self.answer_cache.backend.close()
 
     # -- journal -------------------------------------------------------------
 
@@ -579,7 +573,7 @@ class ReproServer:
         for name, value in self.answer_cache.stats().get("memory", {}).items():
             gauges[f"cache.answer.{name}"] = float(value)
         backend = self.answer_cache.backend
-        if backend is not None and hasattr(backend, "stats"):
+        if backend is not None:
             # The durable tier's accounting (hits/misses/entries/tripped,
             # plus sqlite's persisted lifetime aggregates), flattened to
             # numeric storage.* gauges; string fields like the scheme
@@ -593,7 +587,6 @@ class ReproServer:
                     for sub, sval in value.items():
                         if isinstance(sval, (int, float)):
                             gauges[f"storage.{name}.{sub}"] = float(sval)
-        if backend is not None:
             # The same sentinel round-trip /healthz reports, as a gauge
             # (repro_storage_healthy) so dashboards can alert on it.
             # Probed AFTER the stats flatten above: the probe's own

@@ -8,9 +8,10 @@ lookup or a single budgeted engine run.  The package provides:
 
 * :mod:`~repro.serving.fingerprint` — stable content-addressed
   fingerprints for ontologies, queries and instances;
-* :mod:`~repro.serving.cache` — an in-memory LRU + optional on-disk cache
-  for certain-answer results, and the process-wide conversion cache that
-  memoizes :func:`repro.semantics.rules.convert_ontology`;
+* :mod:`~repro.serving.cache` — an in-memory LRU in front of an optional
+  durable tier (:mod:`repro.storage`) for certain-answer results, and the
+  process-wide conversion cache that memoizes
+  :func:`repro.semantics.rules.convert_ontology`;
 * :mod:`~repro.serving.plan` — :class:`CompiledOMQ` and the memoizing
   :func:`compile_omq`;
 * :mod:`~repro.serving.batch` — :func:`evaluate_batch`: a workload of
@@ -31,7 +32,7 @@ from .batch import (
     make_worker_pool, quarantined_result,
 )
 from .cache import (
-    AnswerCache, DiskCache, LRUCache, clear_caches, conversion_cache_stats,
+    AnswerCache, LRUCache, clear_caches, conversion_cache_stats,
     convert_ontology_cached,
 )
 from .fingerprint import (
@@ -52,7 +53,7 @@ __all__ = [
     "BatchReport", "Job", "JobResult", "comparable_report", "crash_result",
     "evaluate_batch", "job_key", "jobs_from_entries", "load_workload",
     "make_worker_pool", "quarantined_result",
-    "AnswerCache", "DiskCache", "LRUCache", "clear_caches",
+    "AnswerCache", "LRUCache", "clear_caches",
     "conversion_cache_stats", "convert_ontology_cached",
     "canonical_instance", "canonical_ontology", "canonical_query",
     "fingerprint_instance", "fingerprint_omq", "fingerprint_ontology",

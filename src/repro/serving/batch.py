@@ -44,7 +44,7 @@ from ..resilience import (
     AttemptOutcome, Journal, PoolSupervisor, RetryPolicy, Supervisor, Task,
 )
 from ..runtime import Budget
-from ..storage.base import open_backend
+from ..storage.base import StorageBackend, open_backend
 from .cache import AnswerCache, conversion_cache_stats
 from .fingerprint import fingerprint_ontology
 from .metrics import Histogram, MetricsRegistry
@@ -363,7 +363,8 @@ def _run_job(payload: tuple) -> dict[str, Any]:
         "metrics": metrics_raw,
         # The durable tier's circuit breaker trips per *process*; ship the
         # flag back so the driver can surface it in BatchReport.stats.
-        "cache_tripped": bool(getattr(cache.disk, "tripped", False)),
+        "cache_tripped": (cache.backend is not None
+                          and cache.backend.tripped),
     }
 
 
@@ -565,7 +566,6 @@ def evaluate_batch(
     preflight: bool = False,
     chase_depth: int = 6,
     sat_extra: int = 3,
-    cache_dir: str | None = None,
     cache_backend: str | None = None,
     answer_cache: AnswerCache | None = None,
     tracer: Tracer | None = None,
@@ -601,15 +601,13 @@ def evaluate_batch(
     :func:`comparable_report` view equals an uninterrupted run's.
 
     The durable answer tier is named by *cache_backend*, a
-    :func:`repro.storage.base.open_backend` URI (``dir:PATH``,
-    ``sqlite:PATH?max_bytes=N&ttl=S``, ``shard:PATH?shards=N``); worker
-    processes each open their own handle on it, which is what the sqlite
-    and sharded backends exist for.  *cache_dir* is the historical
-    spelling of ``dir:PATH`` (the two are mutually exclusive).  The
-    backend's own accounting lands in ``stats["cache"]["backend"]``, and
-    ``stats["cache"]["tripped"]`` reports whether any process's write
-    circuit breaker tripped during the batch (also logged once as a
-    ``storage.breaker`` span).
+    :func:`repro.storage.base.open_backend` URI (``dir:PATH`` or a bare
+    path, ``sqlite:PATH?max_bytes=N&ttl=S``, ``shard:PATH?shards=N``);
+    worker processes each open their own handle on it, which is what the
+    sqlite and sharded backends exist for.  The backend's own accounting
+    lands in ``stats["cache"]["backend"]``, and ``stats["cache"]["tripped"]``
+    reports whether any process's write circuit breaker tripped during
+    the batch (also logged once as a ``storage.breaker`` span).
 
     *fastpath* (``off``/``auto``/``force``) is forwarded to
     :func:`~repro.serving.plan.compile_omq`; jobs whose plan upgraded to
@@ -638,14 +636,11 @@ def evaluate_batch(
         tracer = current_tracer()
     if not jobs:
         return BatchReport(results=[], stats={"jobs": 0, "workers": workers})
-    if cache_backend is not None and cache_dir is not None:
-        raise ValueError("pass cache_dir or cache_backend, not both")
-    cache_uri = cache_backend or (f"dir:{cache_dir}" if cache_dir else None)
     wall_start = time.perf_counter()
     options = {
         "backend": backend, "preflight": preflight,
         "chase_depth": chase_depth, "sat_extra": sat_extra,
-        "cache_backend": cache_uri, "trace": tracer.enabled,
+        "cache_backend": cache_backend, "trace": tracer.enabled,
         "fastpath": fastpath,
     }
 
@@ -704,7 +699,7 @@ def evaluate_batch(
     pool_supervisor: PoolSupervisor | None = None
     owns_pool = False
     cache: AnswerCache | None = None
-    storage: Any | None = None  # driver-side durable-tier handle (stats)
+    storage: StorageBackend | None = None  # driver-side handle (stats)
     owns_storage = False
     if pool is not None:
         pool_supervisor = pool
@@ -712,20 +707,20 @@ def evaluate_batch(
     elif workers <= 1:
         cache = answer_cache
         if cache is None:
-            cache = AnswerCache(
-                backend=open_backend(cache_uri) if cache_uri else None)
-            owns_storage = cache.disk is not None
-        storage = cache.disk
+            cache = AnswerCache(backend=open_backend(cache_backend)
+                                if cache_backend else None)
+            owns_storage = cache.backend is not None
+        storage = cache.backend
     else:
         pool_supervisor = PoolSupervisor(
             _run_job, workers, max_pool_deaths=max_pool_deaths)
         owns_pool = True
-    if pool_supervisor is not None and cache_uri is not None:
+    if pool_supervisor is not None and cache_backend is not None:
         # Open the backend in the driver too: a bad URI fails fast here
         # instead of crashing N workers, and the handle provides the
         # end-of-run backend stats (concurrency-safe by construction —
         # WAL for sqlite, atomic renames for the directory flavors).
-        storage = open_backend(cache_uri)
+        storage = open_backend(cache_backend)
         owns_storage = True
 
     runner = _BatchRunner(onto, jobs, options, budgets, tracer, metrics,
@@ -768,23 +763,21 @@ def evaluate_batch(
         "misses": len(results) - hits,
         "hit_rate": round(hits / len(results), 4),
     }
-    tripped = runner.cache_tripped or bool(
-        getattr(storage, "tripped", False))
+    tripped = runner.cache_tripped or (
+        storage is not None and storage.tripped)
     if storage is not None:
         try:
             cache_stats["backend"] = storage.stats()
         except Exception:
             pass  # stats are best-effort, like the tier itself
         if owns_storage:
-            close = getattr(storage, "close", None)
-            if close is not None:
-                close()
+            storage.close()
     cache_stats["tripped"] = tripped
     if tripped:
-        # The write breaker used to trip silently inside DiskCache; make
-        # it visible exactly once per batch in the trace as well.
+        # A tripped write breaker silences the tier for the rest of the
+        # process; make it visible exactly once per batch in the trace.
         with tracer.span("storage.breaker",
-                         backend=cache_uri or "memory") as span:
+                         backend=cache_backend or "memory") as span:
             span.set(tripped=True)
     stats: dict[str, Any] = {
         "jobs": len(results),

@@ -11,9 +11,10 @@ Three layers, all keyed by the stable fingerprints of
   reconvert the ontology from scratch; with the cache, engines over the
   same ontology share one conversion (including the "not convertible"
   verdict, which is the expensive discovery for SAT-only ontologies).
-* :class:`DiskCache` — an optional on-disk JSON store (one file per key,
-  written atomically), so repeated CLI invocations hit warm certain-answer
-  results.  :class:`AnswerCache` stacks the LRU in front of it.
+* :class:`AnswerCache` — the LRU in front of an optional durable tier, a
+  :class:`repro.storage.base.StorageBackend` (``dir:``, ``sqlite:`` or
+  ``shard:``), so repeated CLI invocations and worker processes hit warm
+  certain-answer results.
 
 Cached values are plain JSON-able dictionaries; the cache never stores
 non-definitive (``UNKNOWN``) outcomes, so a budget-starved run can be
@@ -22,18 +23,17 @@ retried with a bigger budget and a warm plan.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..logic.ontology import Ontology
 from ..obs import current_tracer
 from ..semantics.rules import DisjunctiveRule, convert_ontology
 from .fingerprint import combine, fingerprint_ontology
+
+if TYPE_CHECKING:
+    from ..storage.base import StorageBackend
 
 _MISSING = object()
 
@@ -102,143 +102,26 @@ class LRUCache:
             }
 
 
-class DiskCache:
-    """A directory of ``<key>.json`` files written atomically.
-
-    Failure is contained twice over.  Per entry: a corrupt or truncated
-    file (a machine crash mid-``os.replace`` on a non-atomic filesystem,
-    a disk-full half-write) behaves as a miss, is counted in
-    ``read_errors`` and is unlinked so the next write starts clean.  Per
-    process: ``max_consecutive_errors`` failed *writes* in a row trip a
-    circuit breaker — the cache stops touching the disk entirely for the
-    rest of the process (every ``get`` a miss, every ``put`` a no-op), so
-    a dead or read-only cache volume costs a bounded number of syscalls
-    instead of two per job forever.  ``tripped`` is exposed in
-    :meth:`stats`.  Values must be JSON-serializable.
-    """
-
-    def __init__(self, directory: str | os.PathLike,
-                 max_consecutive_errors: int = 5):
-        if max_consecutive_errors < 1:
-            raise ValueError("max_consecutive_errors must be >= 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_consecutive_errors = max_consecutive_errors
-        # One lock around the accounting (and the circuit-breaker state):
-        # the serving daemon hits one DiskCache from many request/worker
-        # threads, and unlocked += on counters loses increments.  File
-        # I/O itself stays outside the lock — reads and atomic-replace
-        # writes of distinct keys are independently safe.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.read_errors = 0
-        self.write_errors = 0
-        self.consecutive_errors = 0
-        self.tripped = False
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def _record_write_error(self) -> None:
-        with self._lock:
-            self.write_errors += 1
-            self.consecutive_errors += 1
-            if self.consecutive_errors >= self.max_consecutive_errors:
-                self.tripped = True
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if self.tripped:
-            with self._lock:
-                self.misses += 1
-            return default
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                value = json.load(fh)
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return default
-        except (OSError, ValueError):
-            # The entry exists but cannot be parsed (truncated write,
-            # bit rot): a miss, plus eviction so it cannot keep failing.
-            with self._lock:
-                self.read_errors += 1
-                self.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return default
-        with self._lock:
-            self.hits += 1
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        """Best-effort write: a failed put is counted, never raised.
-
-        Serialization errors (a non-JSON-able value raises ``TypeError``
-        or ``ValueError`` out of ``json.dump``) are caught like I/O errors
-        — a cache write must never abort an otherwise-successful
-        evaluation — and the temp file is always cleaned up rather than
-        leaked into the cache directory.
-        """
-        if self.tripped:
-            return
-        tmp: str | None = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(value, fh)
-            os.replace(tmp, self._path(key))
-        except (OSError, TypeError, ValueError):
-            self._record_write_error()
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        else:
-            with self._lock:
-                self.consecutive_errors = 0
-
-    def stats(self) -> dict[str, int | bool]:
-        try:
-            entries = sum(1 for _ in self.directory.glob("*.json"))
-        except OSError:
-            entries = 0
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "read_errors": self.read_errors,
-                    "write_errors": self.write_errors,
-                    "tripped": self.tripped,
-                    "entries": entries}
-
-
 class AnswerCache:
-    """An LRU for certain-answer results, optionally backed by disk.
+    """An LRU for certain-answer results, optionally backed by a durable tier.
 
     Keys are composite fingerprints (plan × instance × question); values
     are the JSON-able result dictionaries of
     :meth:`repro.serving.plan.CompiledOMQ.evaluate`.
 
-    The durable tier is pluggable: *disk* accepts the historical
-    :class:`DiskCache` or any :class:`repro.storage.base.StorageBackend`
-    (both answer ``get``/``put``/``stats``); *backend* is an explicit
-    alias for the latter and wins when both are given.  Durable-tier
-    traffic is traced as ``storage.get`` / ``storage.put`` spans on the
-    ambient tracer — memory hits stay span-free, so the disabled-tracer
-    overhead gate is untouched.
+    *backend* is the durable tier, any
+    :class:`repro.storage.base.StorageBackend` (None: memory only).
+    Durable-tier traffic is traced as ``storage.get`` / ``storage.put``
+    spans on the ambient tracer — memory hits stay span-free, so the
+    disabled-tracer overhead gate is untouched.
     """
 
     def __init__(self, maxsize: int = 1024,
-                 disk: "DiskCache | Any | None" = None,
-                 backend: "Any | None" = None):
+                 backend: "StorageBackend | None" = None):
         self.memory = LRUCache(maxsize)
-        self.disk = backend if backend is not None else disk
+        self.backend = backend
         # The two layers are individually thread-safe; this lock makes
-        # the *composite* get (memory miss -> disk read -> memory
+        # the *composite* get (memory miss -> durable read -> memory
         # promote) and put atomic, so the daemon's request threads never
         # interleave a promotion with an eviction of the same key.
         self._lock = threading.RLock()
@@ -247,23 +130,15 @@ class AnswerCache:
     def key(*fingerprints: str) -> str:
         return combine(*fingerprints)
 
-    @property
-    def backend(self) -> Any | None:
-        """The durable tier, whatever its flavor (None when memory-only)."""
-        return self.disk
-
-    def _tier_name(self) -> str:
-        return getattr(self.disk, "scheme", "dir")
-
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
             value = self.memory.get(key)
             if value is not None:
                 return value
-            if self.disk is not None:
+            if self.backend is not None:
                 with current_tracer().span(
-                        "storage.get", backend=self._tier_name()) as span:
-                    value = self.disk.get(key)
+                        "storage.get", backend=self.backend.scheme) as span:
+                    value = self.backend.get(key)
                     span.set(hit=value is not None)
                 if value is not None:
                     self.memory.put(key, value)
@@ -272,16 +147,16 @@ class AnswerCache:
     def put(self, key: str, value: dict[str, Any]) -> None:
         with self._lock:
             self.memory.put(key, value)
-            if self.disk is not None:
+            if self.backend is not None:
                 with current_tracer().span(
-                        "storage.put", backend=self._tier_name()):
-                    self.disk.put(key, value)
+                        "storage.put", backend=self.backend.scheme):
+                    self.backend.put(key, value)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             out: dict[str, Any] = {"memory": self.memory.stats()}
-            if self.disk is not None:
-                out["disk"] = self.disk.stats()
+            if self.backend is not None:
+                out["backend"] = self.backend.stats()
             return out
 
 

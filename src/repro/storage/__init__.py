@@ -4,15 +4,17 @@ One protocol (:class:`~repro.storage.base.StorageBackend`), three
 implementations selected by URI via :func:`~repro.storage.base.open_backend`:
 
 * ``dir:PATH`` — :class:`~repro.storage.directory.DirectoryBackend`, the
-  flat single-writer directory byte-compatible with ``--cache-dir``.
+  flat single-writer file store (``--cache-dir PATH`` is another
+  spelling of it).
 * ``sqlite:PATH?max_bytes=N&ttl=S`` —
   :class:`~repro.storage.sqlite.SqliteBackend`, one WAL-mode file with
   real LRU/TTL eviction and persisted hit statistics.
 * ``shard:PATH?shards=N`` —
-  :class:`~repro.storage.sharded.ShardedDirectoryBackend`,
-  fingerprint-prefix shards with advisory locks for many writers on
-  shared storage.
+  :class:`~repro.storage.sharded.ShardedDirectoryBackend`, the same file
+  store split into fingerprint-prefix shards with advisory locks for many
+  writers on shared storage.
 
+The base class owns the hit/miss/error accounting all three report.
 ``REPRO_CACHE_BACKEND`` supplies the process default.  Decision guide in
 ``docs/storage.md``.
 """

@@ -37,6 +37,7 @@ from __future__ import annotations
 import abc
 import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterator
 from urllib.parse import parse_qsl
@@ -119,10 +120,49 @@ class EntryInfo:
 
 
 class StorageBackend(abc.ABC):
-    """Abstract base for shared answer-cache backends (see module doc)."""
+    """Abstract base for shared answer-cache backends (see module doc).
+
+    The base owns the accounting every backend reports: ``hits``,
+    ``misses``, ``read_errors``, ``write_errors`` and the ``injected``
+    fault counts, all guarded by one reentrant lock (the sqlite backend
+    also serializes its connection under it and counts while holding it).
+    """
 
     #: The URI scheme this backend answers to (``dir``/``sqlite``/``shard``).
     scheme: str = "?"
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self.hits = 0
+        self.misses = 0
+        self.read_errors = 0
+        self.write_errors = 0
+        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
+        self.injected: dict[str, int] = {}
+
+    def _note_injected(self, mode: str) -> None:
+        with self._lock:
+            self.injected[mode] = self.injected.get(mode, 0) + 1
+
+    def _count_read_error(self) -> None:
+        """A failed read or a corrupt entry: a read error and a miss."""
+        with self._lock:
+            self.read_errors += 1
+            self.misses += 1
+
+    def _accounting(self) -> dict[str, Any]:
+        """The shared :meth:`stats` fields (``injected`` only when set)."""
+        with self._lock:
+            out: dict[str, Any] = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "read_errors": self.read_errors,
+                "write_errors": self.write_errors,
+                "tripped": self.tripped,
+            }
+            if self.injected:
+                out["injected"] = dict(self.injected)
+            return out
 
     # -- the data plane ------------------------------------------------------
 
@@ -233,7 +273,7 @@ def parse_backend_uri(uri: str) -> tuple[str, str, dict[str, str]]:
 
 def _int_arg(uri: str, args: dict[str, str], name: str,
              default: int | None) -> int | None:
-    raw = args.pop(name, None)
+    raw = args.get(name)
     if raw is None:
         return default
     try:
@@ -244,7 +284,7 @@ def _int_arg(uri: str, args: dict[str, str], name: str,
 
 def _float_arg(uri: str, args: dict[str, str], name: str,
                default: float | None) -> float | None:
-    raw = args.pop(name, None)
+    raw = args.get(name)
     if raw is None:
         return default
     try:
@@ -283,11 +323,6 @@ def open_backend(uri: str) -> StorageBackend:
             backend = DirectoryBackend(path)
     except (OSError, ValueError) as exc:
         raise StorageError(f"storage URI {uri!r}: {exc}") from exc
-    if args:
-        backend.close()
-        raise StorageError(
-            f"storage URI {uri!r}: unknown argument(s) "
-            f"{', '.join(sorted(args))}")
     return backend
 
 

@@ -2,15 +2,15 @@
 
 The flat :class:`~repro.storage.directory.DirectoryBackend` is safe for
 one writer; on shared storage with many batch/serve processes it piles
-every entry (and every temp file) into one directory.  This backend
-splits the keyspace by fingerprint prefix into ``shards`` subdirectories
-(``int(key[:8], 16) % shards``) and makes each write crash- and
-contention-safe:
+every entry (and every temp file) into one directory.  This subclass
+keeps the flat store's read path, atomic put, write circuit breaker and
+accounting, and changes only the layout and the entry format:
 
-* **Atomic rename per entry** — ``mkstemp`` in the destination shard,
-  then ``os.replace``; readers see the old entry or the new one, never a
-  torn mix.  A writer hard-killed mid-put leaves at most a stray
-  ``*.tmp`` file, never a corrupt entry.
+* **Fingerprint-prefix shards** — the keyspace is split into ``shards``
+  subdirectories (``int(key[:8], 16) % shards``); each write is still an
+  atomic ``mkstemp`` + ``os.replace`` in the destination shard, so a
+  writer hard-killed mid-put leaves at most a stray ``*.tmp`` file, never
+  a corrupt entry.
 * **Advisory lock per shard** — writers take ``flock`` on the shard's
   ``.lock`` file for the duration of a put, so concurrent writers to the
   same shard serialize instead of racing temp-file churn (platforms
@@ -19,19 +19,16 @@ contention-safe:
 * **Self-verifying envelope** — entries are stored as
   ``{"k": key, "d": digest, "v": value}``; a read checks the embedded
   key (so an entry copied or renamed under the wrong name is a corrupt
-  miss, counted and evicted, exactly like ``DiskCache``), while
-  :meth:`verify` additionally re-hashes every value against ``d`` to
-  catch bit rot.  The hot read path skips the re-hash on purpose: torn
-  writes cannot exist under atomic renames, and re-hashing every warm
-  hit would double its JSON cost (the bench gates warm hits at ≤25%
-  over the flat dir backend).
+  miss, counted and evicted), while :meth:`verify` additionally re-hashes
+  every value against ``d`` to catch bit rot.  The hot read path skips
+  the re-hash on purpose: torn writes cannot exist under atomic renames,
+  and re-hashing every warm hit would double its JSON cost (the bench
+  gates warm hits at ≤25% over the flat dir backend).
 
 The shard count is pinned in a ``_shards.json`` marker at the root so
 every process slicing the tree agrees on the layout; opening an existing
 tier with a conflicting explicit ``shards=`` is an error rather than a
-silent re-hash.  Failure containment mirrors ``DiskCache``: corrupt reads
-are evicted, and ``max_consecutive_errors`` failed writes in a row trip
-the per-process circuit breaker.
+silent re-hash.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-import time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -51,9 +46,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..runtime.faults import storage_fault
 from ..serving.fingerprint import digest
-from .base import EntryInfo, StorageBackend, check_storable
+from .directory import DirectoryBackend
 
 __all__ = ["ShardedDirectoryBackend"]
 
@@ -61,7 +55,7 @@ _META_NAME = "_shards.json"
 _DEFAULT_SHARDS = 16
 
 
-class ShardedDirectoryBackend(StorageBackend):
+class ShardedDirectoryBackend(DirectoryBackend):
     """Fingerprint-prefix shards with locked atomic writes (see module doc)."""
 
     scheme = "shard"
@@ -71,34 +65,13 @@ class ShardedDirectoryBackend(StorageBackend):
                  max_consecutive_errors: int = 5):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
-        if max_consecutive_errors < 1:
-            raise ValueError("max_consecutive_errors must be >= 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        super().__init__(directory, max_consecutive_errors)
         self.shards = self._pin_shard_count(shards)
-        self._width = max(2, len(f"{self.shards - 1:x}"))
+        width = max(2, len(f"{self.shards - 1:x}"))
         # Shard directories are addressed on every get/put; precompute
         # the Path objects instead of re-formatting hex names per call.
         self._shard_dirs = [
-            self.directory / f"{i:0{self._width}x}"
-            for i in range(self.shards)]
-        self.max_consecutive_errors = max_consecutive_errors
-        # Same locking story as DiskCache: the lock guards accounting and
-        # the breaker state; file I/O is safe outside it (atomic renames,
-        # plus the per-shard flock for cross-process writers).
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.read_errors = 0
-        self.write_errors = 0
-        self.consecutive_errors = 0
-        self._tripped = False
-        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
-        self.injected: dict[str, int] = {}
-
-    def _note_injected(self, mode: str) -> None:
-        with self._lock:
-            self.injected[mode] = self.injected.get(mode, 0) + 1
+            self.directory / f"{i:0{width}x}" for i in range(self.shards)]
 
     # -- layout --------------------------------------------------------------
 
@@ -173,114 +146,12 @@ class ShardedDirectoryBackend(StorageBackend):
                 pass
             fh.close()
 
-    # -- failure accounting (the DiskCache breaker, verbatim) ----------------
-
-    def _record_write_error(self) -> None:
-        with self._lock:
-            self.write_errors += 1
-            self.consecutive_errors += 1
-            if self.consecutive_errors >= self.max_consecutive_errors:
-                self._tripped = True
-
-    @property
-    def tripped(self) -> bool:
-        return self._tripped
-
-    # -- data plane ----------------------------------------------------------
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if self._tripped:
-            with self._lock:
-                self.misses += 1
-            return default
-        mode = storage_fault("get")
-        if mode == "eio":
-            # A transient read failure: counted, but the entry is left in
-            # place — only corrupt entries are evicted.
-            self._note_injected("get")
-            with self._lock:
-                self.read_errors += 1
-                self.misses += 1
-            return default
-        if mode == "busy":
-            self._note_injected("busy")  # lock contention absorbed
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                envelope = fh.read()
-            entry = json.loads(envelope)
-            value = entry["v"]
-            # Key check only on the hot path; digest re-hash is verify()'s
-            # job (see the module doc for why).
-            ok = entry["k"] == key and "d" in entry
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return default
-        except (OSError, ValueError, TypeError, KeyError):
-            ok = False
-            value = default
-        if not ok:
-            with self._lock:
-                self.read_errors += 1
-                self.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return default
-        with self._lock:
-            self.hits += 1
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        check_storable(value)
-        if self._tripped:
-            return
-        mode = storage_fault("put")
-        if mode == "eio":
-            self._note_injected("put")
-            self._record_write_error()
-            return
-        if mode == "busy":
-            self._note_injected("busy")
-        tmp: str | None = None
-        try:
-            value_text = json.dumps(value)
-            envelope = json.dumps(
-                {"k": key, "d": digest(value_text), "v": value})
-            if mode == "torn":
-                # The rename lands but the envelope is a truncated prefix
-                # (crash mid-write on a non-atomic filesystem); the next
-                # read or verify() flags it corrupt and evicts.
-                self._note_injected("torn")
-                envelope = envelope[:max(1, len(envelope) // 2)]
-            shard_dir = self._shard_dir(key)
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            with self._shard_lock(shard_dir):
-                fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(envelope)
-                os.replace(tmp, shard_dir / f"{key}.json")
-        except (OSError, TypeError, ValueError):
-            self._record_write_error()
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        else:
-            with self._lock:
-                self.consecutive_errors = 0
-
-    def delete(self, key: str) -> bool:
-        try:
-            os.unlink(self._path(key))
-        except OSError:
-            return False
-        return True
-
-    # -- control plane -------------------------------------------------------
+    def _write(self, path: Path, text: str) -> None:
+        # No parents=True: a vanished root is a write error, not a fresh
+        # tree without its _shards.json marker.
+        path.parent.mkdir(exist_ok=True)
+        with self._shard_lock(path.parent):
+            super()._write(path, text)
 
     def _entries(self) -> Iterator[tuple[str, Path, os.stat_result]]:
         try:
@@ -300,26 +171,24 @@ class ShardedDirectoryBackend(StorageBackend):
             except OSError:
                 continue
 
-    def scan(self) -> Iterator[EntryInfo]:
-        for key, _path, st in self._entries():
-            yield EntryInfo(key=key, size=st.st_size, created=st.st_mtime,
-                            last_used=st.st_mtime)
+    # -- entry format --------------------------------------------------------
+
+    def _encode(self, key: str, value: Any) -> str:
+        return json.dumps(
+            {"k": key, "d": digest(json.dumps(value)), "v": value})
+
+    def _decode(self, key: str, text: str) -> Any:
+        # Key check only on the hot path; the digest re-hash is verify()'s
+        # job (see the module doc for why).
+        entry = json.loads(text)
+        if entry["k"] != key or "d" not in entry:
+            raise ValueError(f"not the entry for {key!r}")
+        return entry["v"]
+
+    # -- control plane -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        entries = sum(1 for _ in self._entries())
-        with self._lock:
-            return {
-                "backend": self.scheme,
-                "shards": self.shards,
-                "entries": entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "read_errors": self.read_errors,
-                "write_errors": self.write_errors,
-                "tripped": self._tripped,
-                **({"injected": dict(self.injected)} if self.injected
-                   else {}),
-            }
+        return {**super().stats(), "shards": self.shards}
 
     def verify(self) -> list[str]:
         """Corrupt keys: bad JSON, key/digest mismatch, or misfiled shard."""
@@ -336,15 +205,3 @@ class ShardedDirectoryBackend(StorageBackend):
             if not ok:
                 corrupt.append(key)
         return corrupt
-
-    def evict_older_than(self, seconds: float) -> int:
-        cutoff = time.time() - seconds
-        evicted = 0
-        for key, path, st in list(self._entries()):
-            if st.st_mtime < cutoff:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                evicted += 1
-        return evicted

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import threading
 import time
 from typing import Any, Callable, Iterator
 
@@ -84,6 +83,11 @@ class SqliteBackend(StorageBackend):
             raise ValueError("max_bytes must be positive")
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
+        # The base lock also serializes the one connection: the daemon's
+        # request threads and the batch driver share a backend, and sqlite
+        # connections are not concurrency-safe objects even when the
+        # database is.
+        super().__init__()
         self.path = str(path)
         self.max_bytes = max_bytes
         self.ttl = ttl
@@ -93,10 +97,6 @@ class SqliteBackend(StorageBackend):
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        # One connection guarded by one lock: the daemon's request threads
-        # and the batch driver share a backend, and sqlite connections are
-        # not concurrency-safe objects even when the database is.
-        self._lock = threading.RLock()
         self._conn = sqlite3.connect(
             self.path, timeout=busy_timeout, check_same_thread=False,
             isolation_level=None)  # autocommit; writes use BEGIN IMMEDIATE
@@ -107,21 +107,13 @@ class SqliteBackend(StorageBackend):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._closed = False
 
-        # Session accounting (flushed into the stats table in batches).
-        self.hits = 0
-        self.misses = 0
+        # Session accounting beyond the base counters (flushed into the
+        # stats table in batches).
         self.expired = 0
         self.evictions = 0
-        self.read_errors = 0
-        self.write_errors = 0
         self._pending_hits: dict[str, int] = {}
         self._pending_stats: dict[str, int] = {}
         self._unflushed_ops = 0
-        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
-        self.injected: dict[str, int] = {}
-
-    def _note_injected(self, mode: str) -> None:
-        self.injected[mode] = self.injected.get(mode, 0) + 1
 
     # -- busy retry ----------------------------------------------------------
 
@@ -199,8 +191,7 @@ class SqliteBackend(StorageBackend):
                 # A transient read failure — counted like a real
                 # sqlite3.Error on the SELECT; the row stays.
                 self._note_injected("get")
-                self.read_errors += 1
-                return default
+                return self._read_failed(default)
             injected_busy = {"left": 1 if mode == "busy" else 0}
             if mode == "busy":
                 self._note_injected("busy")
@@ -217,8 +208,7 @@ class SqliteBackend(StorageBackend):
             try:
                 row = self._retry(query)
             except sqlite3.Error:
-                self.read_errors += 1
-                return default
+                return self._read_failed(default)
             if row is None:
                 self.misses += 1
                 self._bump("misses")
@@ -240,18 +230,22 @@ class SqliteBackend(StorageBackend):
                 ok = False
             if not ok:
                 # Corrupt row (bit rot, tampering): a miss, plus eviction
-                # so it cannot keep failing — the DiskCache contract.
-                self.read_errors += 1
-                self.misses += 1
-                self._bump("misses")
+                # so it cannot keep failing.
                 self._delete_quietly(key)
-                self._note_op()
-                return default
+                return self._read_failed(default)
             self.hits += 1
             self._bump("hits")
             self._pending_hits[key] = self._pending_hits.get(key, 0) + 1
             self._note_op()
             return value
+
+    def _read_failed(self, default: Any) -> Any:
+        """A failed or corrupt read (lock held): a read error and a miss,
+        in the session and the lifetime counts alike."""
+        self._count_read_error()
+        self._bump("misses")
+        self._note_op()
+        return default
 
     def put(self, key: str, value: Any) -> None:
         check_storable(value)
@@ -392,17 +386,11 @@ class SqliteBackend(StorageBackend):
                 "total_bytes": total_bytes,
                 "max_bytes": self.max_bytes,
                 "ttl": self.ttl,
-                "hits": self.hits,
-                "misses": self.misses,
                 "expired": self.expired,
                 "evictions": self.evictions,
-                "read_errors": self.read_errors,
-                "write_errors": self.write_errors,
-                "tripped": False,
+                **self._accounting(),
                 "lifetime": {name: lifetime.get(name, 0)
                              for name in _LIFETIME_KEYS},
-                **({"injected": dict(self.injected)} if self.injected
-                   else {}),
             }
 
     def verify(self) -> list[str]:

@@ -118,23 +118,24 @@ class TestEvaluateMultiQuery:
         assert "query" in capsys.readouterr().err
 
 
+@pytest.fixture
+def batch_workspace(workspace, tmp_path):
+    import json
+
+    workload = [
+        {"query": "q(x) <- hasFinger(x,y) & Thumb(y)", "data": "data.facts"},
+        {"query": "q() <- Thumb(y)", "facts": ["Hand(h)"]},
+        {"query": "q(x) <- Hand(x)", "facts": ["Hand(h)", "Hand(g)"],
+         "id": "pair"},
+        {"query": "q(x) <- hasFinger(x,y) & Thumb(y)", "data": "data.facts"},
+    ]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(workload))
+    workspace["workload"] = str(path)
+    return workspace
+
+
 class TestBatchCommand:
-    @pytest.fixture
-    def batch_workspace(self, workspace, tmp_path):
-        import json
-
-        workload = [
-            {"query": "q(x) <- hasFinger(x,y) & Thumb(y)", "data": "data.facts"},
-            {"query": "q() <- Thumb(y)", "facts": ["Hand(h)"]},
-            {"query": "q(x) <- Hand(x)", "facts": ["Hand(h)", "Hand(g)"],
-             "id": "pair"},
-            {"query": "q(x) <- hasFinger(x,y) & Thumb(y)", "data": "data.facts"},
-        ]
-        path = tmp_path / "jobs.json"
-        path.write_text(json.dumps(workload))
-        workspace["workload"] = str(path)
-        return workspace
-
     def test_batch_text_report(self, batch_workspace, capsys):
         assert main(["batch", batch_workspace["onto"],
                      "--workload", batch_workspace["workload"]]) == 0
@@ -318,6 +319,61 @@ class TestParseErrorHandling:
                      "q() <- Thumb(y)", "--preflight"]) == 2
         err = capsys.readouterr().err
         assert "pre-flight" in err and "OMQ019" in err
+
+
+def _batch_cache_stats(ws, capsys, *flags):
+    """``stats["cache"]`` of one ``repro batch`` run in a fresh process
+    (only the durable tier stays warm between runs)."""
+    import json
+
+    from repro.serving import clear_caches
+
+    clear_caches()
+    assert main(["batch", ws["onto"], "--workload", ws["workload"],
+                 "--format", "json", *flags]) == 0
+    return json.loads(capsys.readouterr().out)["stats"]["cache"]
+
+
+class TestCacheSetting:
+    """``--cache-dir DIR`` is another spelling of ``--cache-backend
+    dir:DIR``: one durable-tier setting, on batch and serve alike."""
+
+    def test_cache_dir_is_the_dir_backend(self, batch_workspace, tmp_path,
+                                          capsys):
+        flags = ("--cache-dir", str(tmp_path / "d"))
+        cold = _batch_cache_stats(batch_workspace, capsys, *flags)
+        assert cold["backend"]["backend"] == "dir"
+        assert cold["backend"]["entries"] == 3  # job 3 repeats job 0
+        warm = _batch_cache_stats(batch_workspace, capsys, *flags)
+        assert warm["hits"] == 4 and warm["misses"] == 0
+        assert warm["backend"]["backend"] == "dir"
+        assert warm["backend"]["hits"] == 3
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_cache_dir_and_backend_are_exclusive(
+            self, command, batch_workspace, tmp_path, capsys):
+        cache_dir = tmp_path / "d"
+        argv = [command]
+        if command == "batch":
+            argv += [batch_workspace["onto"],
+                     "--workload", batch_workspace["workload"]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", str(cache_dir),
+                         "--cache-backend", f"dir:{cache_dir}"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    def test_cache_dir_beats_env_backend(self, batch_workspace, tmp_path,
+                                         capsys, monkeypatch):
+        env_store = tmp_path / "env.db"
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", f"sqlite:{env_store}")
+        cache_dir = tmp_path / "d"
+        stats = _batch_cache_stats(batch_workspace, capsys,
+                                   "--cache-dir", str(cache_dir))
+        assert stats["backend"]["backend"] == "dir"
+        assert len(list(cache_dir.glob("*.json"))) == 3
+        assert not env_store.exists()
 
 
 class TestCacheCliMissingStore:

@@ -7,10 +7,11 @@ import pytest
 from repro.logic.ontology import ontology
 from repro.semantics.rules import render_rules
 from repro.serving import (
-    AnswerCache, DiskCache, LRUCache, clear_caches, conversion_cache_stats,
+    AnswerCache, LRUCache, clear_caches, conversion_cache_stats,
     convert_ontology_cached,
 )
 from repro.serving import cache as cache_mod
+from repro.storage import DirectoryBackend, ShardedDirectoryBackend
 
 HORN = "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))"
 DISJ = "forall x (x = x -> (Coin(x) -> Heads(x) | Tails(x)))"
@@ -53,29 +54,36 @@ class TestLRUCache:
 
 
 class TestDiskCache:
+    """The file store contract on the flat ``dir:`` layout;
+    :class:`TestShardedDiskCache` reruns every test on ``shard:``, which
+    shares the implementation."""
+
+    make = DirectoryBackend
+
     def test_round_trip(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = self.make(tmp_path / "cache")
         assert d.get("k1") is None
         d.put("k1", {"answers": [["h"]], "verdict": "ok"})
         assert d.get("k1") == {"answers": [["h"]], "verdict": "ok"}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = self.make(tmp_path / "cache")
         d.put("k1", {"x": 1})
-        [path] = list((tmp_path / "cache").iterdir())
-        path.write_text("{not json", encoding="utf-8")
+        d._path("k1").write_text("{not json", encoding="utf-8")
         assert d.get("k1") is None
 
     def test_entries_are_valid_json_files(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = self.make(tmp_path / "cache")
         d.put("k1", [1, 2, 3])
-        [path] = list((tmp_path / "cache").iterdir())
-        assert json.loads(path.read_text(encoding="utf-8")) == [1, 2, 3]
+        [entry] = d.scan()
+        text = d._path(entry.key).read_text(encoding="utf-8")
+        json.loads(text)  # raises unless the file is one JSON document
+        assert d._decode(entry.key, text) == [1, 2, 3]
 
     def test_corrupt_entry_is_counted_and_evicted(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = self.make(tmp_path / "cache")
         d.put("k1", {"x": 1})
-        [path] = list((tmp_path / "cache").iterdir())
+        path = d._path("k1")
         path.write_text('{"x": 1, "trunc', encoding="utf-8")  # torn write
         assert d.get("k1") is None
         assert d.read_errors == 1 and d.misses == 1
@@ -86,24 +94,24 @@ class TestDiskCache:
         assert d.stats()["read_errors"] == 1
 
     def test_plain_miss_is_not_a_read_error(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = self.make(tmp_path / "cache")
         assert d.get("absent") is None
         assert d.misses == 1 and d.read_errors == 0
 
     def test_write_failures_trip_the_circuit_breaker(self, tmp_path):
-        d = DiskCache(tmp_path / "cache", max_consecutive_errors=3)
+        d = self.make(tmp_path / "cache", max_consecutive_errors=3)
         unserializable = object()
         for _ in range(3):
-            d.put("k", unserializable)  # TypeError inside json.dump
+            d.put("k", unserializable)  # TypeError inside json.dumps
         assert d.write_errors == 3
         assert d.tripped and d.stats()["tripped"] is True
         # Tripped: the disk is never touched again this process.
         d.put("k2", {"ok": 1})
-        assert list((tmp_path / "cache").glob("*.json")) == []
+        assert list(d.scan()) == []
         assert d.get("k2") is None  # every get is a miss
 
     def test_successful_write_resets_the_error_streak(self, tmp_path):
-        d = DiskCache(tmp_path / "cache", max_consecutive_errors=2)
+        d = self.make(tmp_path / "cache", max_consecutive_errors=2)
         d.put("bad", object())
         d.put("good", {"ok": 1})  # streak broken
         d.put("bad", object())
@@ -111,7 +119,11 @@ class TestDiskCache:
 
     def test_max_consecutive_errors_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            DiskCache(tmp_path / "cache", max_consecutive_errors=0)
+            self.make(tmp_path / "cache", max_consecutive_errors=0)
+
+
+class TestShardedDiskCache(TestDiskCache):
+    make = ShardedDirectoryBackend
 
 
 class TestAnswerCache:
@@ -127,12 +139,12 @@ class TestAnswerCache:
         assert c.get(k) == {"verdict": "ok"}
 
     def test_disk_layer_backfills_memory(self, tmp_path):
-        disk = DiskCache(tmp_path / "c")
-        warm = AnswerCache(maxsize=8, disk=disk)
+        warm = AnswerCache(maxsize=8, backend=DirectoryBackend(tmp_path / "c"))
         k = AnswerCache.key("omq", "inst")
         warm.put(k, {"verdict": "ok"})
         # A fresh in-memory cache over the same directory sees the entry.
-        cold = AnswerCache(maxsize=8, disk=DiskCache(tmp_path / "c"))
+        cold = AnswerCache(maxsize=8,
+                           backend=DirectoryBackend(tmp_path / "c"))
         assert cold.get(k) == {"verdict": "ok"}
         # ...and it is now resident in memory too.
         assert cold.memory.get(k) is not None

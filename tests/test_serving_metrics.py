@@ -1,4 +1,4 @@
-"""Metrics, DiskCache write errors, memo metric isolation and thread
+"""Metrics, file-store write errors, memo metric isolation and thread
 safety of the process-global serving caches."""
 
 import threading
@@ -8,11 +8,11 @@ import pytest
 from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.serving import (
-    AnswerCache, Counter, DiskCache, Gauge, Histogram, MetricsRegistry,
-    clear_caches, compile_omq, convert_ontology_cached, prometheus_name,
-    render_prometheus,
+    AnswerCache, Counter, Gauge, Histogram, MetricsRegistry, clear_caches,
+    compile_omq, convert_ontology_cached, prometheus_name, render_prometheus,
 )
 from repro.serving.plan import _plan_cache
+from repro.storage import DirectoryBackend, ShardedDirectoryBackend
 
 ONTO = ontology(
     "forall x (Hand(x) -> exists y (hasFinger(x,y)))", name="hands")
@@ -189,39 +189,47 @@ def test_render_prometheus_empty_histogram_has_no_quantiles():
     assert "quantile" not in text
 
 
-# -- DiskCache.put (satellite bugfix) -----------------------------------------
+# -- file-store put failures (both directory flavours) ------------------------
+
+FILE_STORES = (DirectoryBackend, ShardedDirectoryBackend)
 
 
 def test_disk_cache_put_survives_unserializable_value(tmp_path):
-    cache = DiskCache(tmp_path)
-    cache.put("bad", {"oops": object()})  # TypeError inside json.dump
-    assert cache.write_errors == 1
-    assert cache.stats()["write_errors"] == 1
-    # The temp file was unlinked, not leaked into the cache directory.
-    assert list(tmp_path.glob("*.tmp")) == []
-    assert cache.stats()["entries"] == 0
-    # The failed put behaves as a miss, and the cache still works.
-    assert cache.get("bad") is None
-    cache.put("good", {"v": 1})
-    assert cache.get("good") == {"v": 1}
-    assert cache.write_errors == 1
+    for make in FILE_STORES:
+        root = tmp_path / make.scheme
+        cache = make(root)
+        cache.put("bad", {"oops": object()})  # TypeError inside json.dumps
+        assert cache.write_errors == 1
+        assert cache.stats()["write_errors"] == 1
+        # No temp file was leaked into the cache directory.
+        assert list(root.rglob("*.tmp")) == []
+        assert cache.stats()["entries"] == 0
+        # The failed put behaves as a miss, and the cache still works.
+        assert cache.get("bad") is None
+        cache.put("good", {"v": 1})
+        assert cache.get("good") == {"v": 1}
+        assert cache.write_errors == 1
 
 
 def test_disk_cache_put_survives_unwritable_directory(tmp_path):
-    cache = DiskCache(tmp_path)
-    cache.put("k", {"v": 1})
     import shutil
-    shutil.rmtree(tmp_path)  # mkstemp now fails with OSError
-    cache.put("k2", {"v": 2})
-    assert cache.write_errors == 1
+
+    for make in FILE_STORES:
+        root = tmp_path / make.scheme
+        cache = make(root)
+        cache.put("k", {"v": 1})
+        shutil.rmtree(root)  # the next write fails with OSError
+        cache.put("k2", {"v": 2})
+        assert cache.write_errors == 1
+        assert not root.exists()
 
 
 def test_answer_cache_swallows_disk_write_errors(tmp_path):
-    cache = AnswerCache(disk=DiskCache(tmp_path))
+    cache = AnswerCache(backend=DirectoryBackend(tmp_path))
     value = {"v": object()}
     cache.put("k", value)  # memory accepts it, disk cannot serialize it
     assert cache.get("k") == value
-    assert cache.stats()["disk"]["write_errors"] == 1
+    assert cache.stats()["backend"]["write_errors"] == 1
 
 
 # -- memo-hit metrics isolation (satellite bugfix) ----------------------------

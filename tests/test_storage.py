@@ -16,7 +16,6 @@ import pytest
 from repro.logic.ontology import ontology
 from repro.obs import Tracer
 from repro.serving import AnswerCache, Job, clear_caches, evaluate_batch
-from repro.serving.cache import DiskCache
 from repro.serving.fingerprint import digest
 from repro.serving.plan import compile_omq
 from repro.storage import (
@@ -207,6 +206,36 @@ class TestContract:
         backend.close()
         backend.close()
 
+    def test_accounting_under_concurrent_gets(self, kind, tmp_path):
+        # The base class's counters are shared by every thread on one
+        # backend: each get counts once, as a hit or a miss, and a lost
+        # update would break the totals.
+        import sys
+        import threading
+
+        threads_n, gets = 8, 200
+        with make_backend(kind, tmp_path) as backend:
+            backend.put(KEY, VALUE)
+
+            def reader():
+                for i in range(gets):
+                    backend.get(KEY if i % 2 else KEY2)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=reader)
+                           for _ in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            stats = backend.stats()
+            assert stats["hits"] == stats["misses"] == threads_n * gets // 2
+
 
 def test_check_storable_passes_definitive_and_plain_values():
     check_storable({"verdict": "yes"})
@@ -217,19 +246,21 @@ def test_check_storable_passes_definitive_and_plain_values():
         check_storable({"verdict": "unknown"})
 
 
-# -- DirectoryBackend: DiskCache semantics preserved -------------------------
+# -- DirectoryBackend: the flat cache-directory format -----------------------
 
 
 class TestDirectoryBackend:
     def test_byte_compatible_with_disk_cache(self, tmp_path):
-        # A directory populated by the pre-storage DiskCache is a valid
-        # dir: backend, and vice versa.
-        disk = DiskCache(tmp_path / "d")
-        disk.put(KEY, VALUE)
+        # The flat format every cache directory has been written in:
+        # <key>.json holding json.dumps(value).  Existing directories read
+        # back, and new entries are written byte for byte the same way.
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / f"{KEY}.json").write_text(json.dumps(VALUE))
         backend = DirectoryBackend(tmp_path / "d")
         assert backend.get(KEY) == VALUE
         backend.put(KEY2, {"verdict": "no"})
-        assert DiskCache(tmp_path / "d").get(KEY2) == {"verdict": "no"}
+        assert ((tmp_path / "d" / f"{KEY2}.json").read_text()
+                == json.dumps({"verdict": "no"}))
 
     def test_corrupt_entry_evicted_and_counted(self, tmp_path):
         backend = DirectoryBackend(tmp_path / "d")
@@ -248,7 +279,8 @@ class TestDirectoryBackend:
     def test_circuit_breaker_surfaces_as_tripped(self, tmp_path):
         backend = DirectoryBackend(tmp_path / "d", max_consecutive_errors=2)
         assert backend.tripped is False
-        backend._disk.tripped = True
+        for _ in range(2):
+            backend.put(KEY, {"verdict": "yes", "v": object()})  # unwritable
         assert backend.tripped is True
         assert backend.stats()["tripped"] is True
 
@@ -479,19 +511,11 @@ class TestServingWiring:
         assert warm.stats["cache"]["hits"] == len(JOBS)
         assert warm.signatures() == cold.signatures()
 
-    def test_cache_dir_and_backend_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            evaluate_batch(ONTO, JOBS, cache_dir=str(tmp_path / "d"),
-                           cache_backend=f"dir:{tmp_path}/d")
-
-    def test_cache_dir_still_works_via_dir_backend(self, tmp_path):
-        report = evaluate_batch(ONTO, JOBS, cache_dir=str(tmp_path / "d"))
-        assert report.stats["cache"]["backend"]["backend"] == "dir"
-        assert (tmp_path / "d").is_dir()
-
     def test_tripped_flag_propagates_and_logs_once(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "d")
-        backend._disk.tripped = True  # a dead cache volume, pre-tripped
+        backend = DirectoryBackend(tmp_path / "d", max_consecutive_errors=1)
+        (tmp_path / "d").rmdir()  # a dead cache volume: writes fail
+        backend.put(KEY, VALUE)
+        assert backend.tripped
         cache = AnswerCache(backend=backend)
         tracer = Tracer()
         report = evaluate_batch(ONTO, JOBS, answer_cache=cache,
@@ -535,13 +559,6 @@ class TestServerWiring:
         assert "repro_storage_tripped 0" in text
         assert "repro_storage_lifetime_puts 1" in text
         server.answer_cache.backend.close()
-
-    def test_server_rejects_both_cache_flavors(self, tmp_path):
-        from repro.server import ReproServer
-
-        with pytest.raises(ValueError, match="not both"):
-            ReproServer(cache_dir=str(tmp_path / "d"),
-                        cache_backend=f"dir:{tmp_path}/d")
 
     def test_server_without_backend_has_no_storage_gauges(self):
         from repro.server import ReproServer

@@ -19,7 +19,9 @@ import pytest
 
 from repro.runtime.faults import KILL_EXIT_CODE
 from repro.serving.fingerprint import digest
-from repro.storage import ShardedDirectoryBackend, SqliteBackend
+from repro.storage import (
+    DirectoryBackend, ShardedDirectoryBackend, SqliteBackend,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -166,7 +168,7 @@ backend.put(digest("victim"), {{"verdict": "yes", "n": 2}})
 print("unreachable")
 """
 
-    @pytest.mark.parametrize("kind", ["sqlite", "shard"])
+    @pytest.mark.parametrize("kind", ["sqlite", "shard", "dir"])
     def test_kill_mid_put_leaves_store_clean(self, kind, tmp_path):
         if kind == "sqlite":
             uri = f"sqlite:{tmp_path}/c.db"
@@ -184,7 +186,8 @@ print("unreachable")
                 "os._exit(%d)\n"
             ) % (SRC, str(tmp_path / "c.db"), KILL_EXIT_CODE)
         else:
-            uri = f"shard:{tmp_path}/s?shards=4"
+            uri = {"shard": f"shard:{tmp_path}/s?shards=4",
+                   "dir": f"dir:{tmp_path}/d"}[kind]
             code = self.KILLER.format(src=SRC, exit_code=KILL_EXIT_CODE)
 
         proc = subprocess.run(
@@ -203,14 +206,15 @@ print("unreachable")
 
     def test_stray_tmp_files_are_invisible(self, tmp_path):
         # A crash can strand a mkstemp temp file; it must not read as an
-        # entry, and verify/scan must ignore it.
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=4)
-        key = digest("real")
-        backend.put(key, {"verdict": "yes"})
-        shard_dir = backend._path(key).parent
-        (shard_dir / "tmp_abandoned").write_text('{"k": "torn')
-        assert backend.verify() == []
-        assert [i.key for i in backend.scan()] == [key]
+        # entry, and verify/scan must ignore it.  Both directory flavours.
+        for backend in (ShardedDirectoryBackend(tmp_path / "s", shards=4),
+                        DirectoryBackend(tmp_path / "d")):
+            key = digest("real")
+            backend.put(key, {"verdict": "yes"})
+            entry_dir = backend._path(key).parent
+            (entry_dir / "tmp_abandoned.tmp").write_text('{"k": "torn')
+            assert backend.verify() == []
+            assert [i.key for i in backend.scan()] == [key]
 
     def test_sqlite_survives_hot_journal(self, tmp_path):
         # Simulate a crash that left WAL files behind: reopening must

@@ -86,6 +86,22 @@ class TestInjectedModes:
             clear_faults(monkeypatch)
             assert backend.get(key) == VALUE
 
+    def test_failed_read_counts_as_a_miss(
+            self, kind, tmp_path, monkeypatch):
+        # Every get is a hit or a miss, an injected EIO included.
+        key = digest("k8")
+        with make_backend(kind, tmp_path) as backend:
+            backend.put(key, VALUE)
+            set_faults(monkeypatch, "storage:get:@2")
+            for _ in range(4):
+                backend.get(key)
+            backend.get(digest("absent"))
+            stats = backend.stats()
+            assert stats["injected"] == {"get": 1}
+            assert (stats["hits"], stats["misses"]) == (3, 2)
+            if kind == "sqlite":
+                assert stats["lifetime"]["misses"] == 2
+
     def test_put_eio_drops_the_write(self, kind, tmp_path, monkeypatch):
         key = digest("k2")
         with make_backend(kind, tmp_path) as backend:
