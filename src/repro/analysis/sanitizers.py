@@ -24,7 +24,8 @@ Chase invariants
 
 CDCL invariants
     * **two-watched literals**: every clause of length >= 2 is watched by
-      exactly its first two literals;
+      exactly its first two literals, and a watch false at level 0 has a
+      partner true at level 0;
     * **trail/reason consistency**: the trail is duplicate-free, every
       trail literal is true, decision levels match the trail boundaries,
       and every reason clause is genuinely propagating;
@@ -196,7 +197,12 @@ class CdclSanitizer:
 
     def check_watches(self, solver) -> None:
         """Every clause of length >= 2 is watched by exactly its first two
-        literals, and watch lists contain no stray entries."""
+        literals, and watch lists contain no stray entries.  A watched
+        literal made false at level 0 by an already propagated assignment
+        has a partner true at level 0: the clause is never visited again,
+        so otherwise it could not propagate."""
+        settled = {abs(lit) for lit in solver.trail[:solver._qhead]
+                   if solver.level[abs(lit)] == 0}
         where: dict[int, list[int]] = {}
         for lit, clause_ids in solver.watches.items():
             for cidx in clause_ids:
@@ -213,6 +219,15 @@ class CdclSanitizer:
                     f"two-watched-literal violation for clause {cidx} "
                     f"{clause!r}: watched under {actual}, expected "
                     f"{expected}")
+            for watch, partner in ((clause[0], clause[1]),
+                                   (clause[1], clause[0])):
+                if (abs(watch) in settled
+                        and self._value(solver, watch) == -1
+                        and not (self._value(solver, partner) == 1
+                                 and solver.level[abs(partner)] == 0)):
+                    raise SanitizerError(
+                        f"clause {cidx} {clause!r} watches {watch}, false "
+                        "at level 0, without a partner true at level 0")
         stray = set(where) - set(range(len(solver.clauses)))
         if stray:
             raise SanitizerError(

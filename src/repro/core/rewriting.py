@@ -8,7 +8,8 @@ type sets; this module implements
 
 * the type machinery — realizable types for single elements and guarded
   pairs, computed once per (O, q) by SAT enumeration over indicator
-  variables (:class:`TypeRewriting`), and
+  variables, one incremental solver per enumeration
+  (:class:`TypeRewriting`), and
 * the fixpoint evaluator (`TypeRewriting.certain` / `.answers`), which is
   the rewriting's semantics and runs in polynomial time in |D|, and
 * :meth:`TypeRewriting.to_datalog_program` — an explicit Datalog≠ program
@@ -31,6 +32,7 @@ from ..datalog.program import Program, Rule
 from ..logic.instance import Interpretation, fresh_nulls
 from ..logic.ontology import Ontology
 from ..logic.syntax import Atom, Const, Element, Formula, Var, substitute
+from ..obs import current_tracer
 from ..queries.cq import CQ
 from ..semantics.cdcl import Solver
 from ..semantics.sat import CNF, add_formula, add_formula_iff, ground
@@ -154,7 +156,7 @@ class TypeRewriting:
         for sentence in self.onto.all_sentences():
             add_formula(cnf, ground(sentence, domain))
         types = []
-        for bits in self._enumerate_projected(cnf, indicators):
+        for bits in self._enumerate_projected(cnf, indicators, "elem"):
             types.append(ElemType(bits))
         return types
 
@@ -181,7 +183,7 @@ class TypeRewriting:
             add_formula(cnf, ground(sentence, domain))
         all_vars = indicators + left_vars + right_vars
         types = []
-        for bits in self._enumerate_projected(cnf, all_vars):
+        for bits in self._enumerate_projected(cnf, all_vars, "pair"):
             k, m = len(self.formulas2), len(self.formulas1)
             types.append(PairType(
                 bits[:k],
@@ -191,20 +193,26 @@ class TypeRewriting:
         return types
 
     def _enumerate_projected(
-        self, cnf: CNF, projection: list[int],
+        self, cnf: CNF, projection: list[int], kind: str,
     ) -> list[tuple[bool, ...]]:
-        """All solution projections onto the given variables."""
+        """All solution projections onto the given variables.
+
+        One incremental solver blocks each projection found and solves
+        again, until UNSAT proves the list complete.  Raises ``ValueError``
+        if a model remains after ``enumeration_limit`` projections: a
+        truncated type set would make the rewriting unsound.
+        """
         out: list[tuple[bool, ...]] = []
-        blocking: list[list[int]] = []
-        while len(out) < self.enumeration_limit:
-            assignment = Solver(cnf.num_vars, cnf.clauses + blocking).solve()
-            if assignment is None:
-                break
-            bits = tuple(bool(assignment.get(v)) for v in projection)
-            out.append(bits)
-            blocking.append([
-                -v if assignment.get(v) else v for v in projection
-            ])
+        with current_tracer().span("rewriting.enumerate", kind=kind) as span:
+            solver = Solver(cnf.num_vars, cnf.clauses)
+            while (assignment := solver.solve()) is not None:
+                if len(out) == self.enumeration_limit:
+                    raise ValueError(
+                        f"more than {self.enumeration_limit} {kind} types")
+                out.append(tuple(assignment[v] for v in projection))
+                solver.add_clause(
+                    [-v if assignment[v] else v for v in projection])
+            span.set(types=len(out), solves=len(out) + 1)
         return out
 
     # -- the fixpoint evaluator ("running the program") -----------------------
@@ -286,6 +294,13 @@ class TypeRewriting:
             if not allowed:
                 return {}, {}, True
             pair_candidates[(a, b)] = allowed
+        # A loop R(a,a) refines a the way the emitted program's edge rule
+        # does: a is both endpoints of an R-pair type.
+        loops = [
+            (a, self.formulas2.index(Atom(pred, (_X1, _X2))))
+            for pred, arity in self.onto.sig().items() if arity == 2
+            for a, b in instance.tuples(pred) if a == b
+        ]
         changed = True
         while changed:
             changed = False
@@ -308,6 +323,19 @@ class TypeRewriting:
                     elem_candidates[b] &= rights
                     changed = True
                 if not elem_candidates[a] or not elem_candidates[b]:
+                    return {}, {}, True
+            for a, idx2 in loops:
+                types = elem_candidates[a]
+                witnesses = [
+                    t for t in self.pair_types
+                    if t.bits[idx2] and t.left in types and t.right in types
+                ]
+                keep = ({t.left for t in witnesses}
+                        & {t.right for t in witnesses})
+                if not types <= keep:
+                    elem_candidates[a] = types & keep
+                    changed = True
+                if not elem_candidates[a]:
                     return {}, {}, True
         return elem_candidates, pair_candidates, False
 

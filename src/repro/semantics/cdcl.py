@@ -1,13 +1,15 @@
 """A CDCL SAT solver: watched literals, 1UIP learning, VSIDS, restarts.
 
-This replaces plain DPLL as the engine behind the finite-countermodel
-search.  Literals are non-zero integers (positive = variable true); clauses
-are lists of literals.  The solver is self-contained and has no external
-dependencies.
+It decides the finite-countermodel search (through
+:func:`repro.semantics.sat.dpll`) and, incrementally, enumerates the
+Theorem 5 types (:mod:`repro.core.rewriting`).  Literals are non-zero
+integers (positive = variable true); clauses are lists of literals.  The
+solver is self-contained and has no external dependencies.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 from ..analysis.sanitizers import cdcl_sanitizer
@@ -16,7 +18,11 @@ from ..runtime import Budget
 
 
 class Solver:
-    """One-shot CDCL solver for a fixed clause set.
+    """Incremental CDCL solver.
+
+    Clauses may be added between solves with :meth:`add_clause`; learnt
+    clauses and variable activities carry over from one solve to the next,
+    so enumerating models under blocking clauses needs one solver.
 
     ``sanitize`` enables the runtime invariant checkers of
     :mod:`repro.analysis.sanitizers` (default: the ``REPRO_SANITIZE``
@@ -38,11 +44,32 @@ class Solver:
         self.watches: dict[int, list[int]] = {}
         self.activity: list[float] = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
+        # VSIDS order: a lazy max-heap of (-activity, var); entries whose
+        # variable is assigned or whose activity moved on are stale
+        self._heap: list[tuple[float, int]] = [
+            (-0.0, v) for v in range(1, num_vars + 1)]
+        self._qhead = 0
         self.ok = True
         for clause in clauses:
             self._add_clause(list(clause))
 
     # -- clause management ----------------------------------------------------
+
+    def add_clause(self, lits: Iterable[int]) -> None:
+        """Add a clause between solves.
+
+        The solver first returns to decision level 0.  Literals false there
+        are dropped, so the two watched literals are never false at level
+        0; a clause already true there, or a tautology, is skipped.  A unit
+        is enqueued for the next solve to propagate, and an empty clause
+        makes the solver unsatisfiable.
+        """
+        self._backtrack(0)
+        lits = [lit for lit in lits if self._value(lit) != -1]
+        if not any(self._value(lit) == 1 for lit in lits):
+            self._add_clause(lits)
+        if self._san:
+            self._san.check_watches(self)
 
     def _add_clause(self, lits: list[int]) -> None:
         lits = sorted(set(lits), key=abs)
@@ -83,7 +110,7 @@ class Solver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        head = getattr(self, "_qhead", 0)
+        head = self._qhead
         while head < len(self.trail):
             lit = self.trail[head]
             head += 1
@@ -112,7 +139,9 @@ class Solver:
                     continue
                 # clause is unit or conflicting on clause[0]
                 if not self._enqueue(clause[0], clause):
-                    self._qhead = len(self.trail)
+                    # lit's watchers are only partly visited: a search
+                    # aborted before it backjumps visits them again
+                    self._qhead = head - 1
                     return clause
                 i += 1
         self._qhead = head
@@ -126,6 +155,12 @@ class Solver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._heap = [(-self.activity[v], v)
+                          for v in range(1, self.num_vars + 1)
+                          if self.assign[v] == 0]
+            heapq.heapify(self._heap)
+        elif self.assign[var] == 0:
+            heapq.heappush(self._heap, (-self.activity[var], var))
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """1UIP conflict analysis: returns (learnt clause, backjump level)."""
@@ -175,14 +210,19 @@ class Solver:
                 var = abs(lit)
                 self.assign[var] = 0
                 self.reason[var] = None
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+                heapq.heappush(self._heap, (-self.activity[var], var))
+        self._qhead = min(self._qhead, len(self.trail))
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
-                best, best_act = var, self.activity[var]
-        return -best if best else 0  # prefer False (sparser models)
+        """The unassigned variable of highest activity, lowest index on
+        ties (the order a linear scan would pick), negated: prefer False
+        (sparser models).  0 when every variable is assigned."""
+        heap = self._heap
+        while heap:
+            neg_act, var = heapq.heappop(heap)
+            if self.assign[var] == 0 and -neg_act == self.activity[var]:
+                return -var
+        return 0
 
     # -- main loop ----------------------------------------------------------------
 
@@ -204,18 +244,22 @@ class Solver:
                 "cdcl.solve", vars=self.num_vars,
                 clauses=len(self.clauses)) as span:
             if not self.ok:
-                span.set(result="unsat", conflicts=0, decisions=0, restarts=0)
+                span.set(result="unsat", conflicts=0, decisions=0, restarts=0,
+                         learnt=0)
                 return None
             conflicts = 0
             decisions = 0
             restarts = 0
+            learnt_count = 0
             restart_limit = 64
             since_restart = 0
 
             def finish(result: str) -> None:
+                if result == "unsat":
+                    self.ok = False  # clauses are only ever added
                 span.set(result=result, conflicts=conflicts,
                          decisions=decisions, restarts=restarts,
-                         learnt=len(self.clauses))
+                         learnt=learnt_count)
 
             while True:
                 conflict = self._propagate()
@@ -231,6 +275,7 @@ class Solver:
                         finish("unsat")
                         return None  # conflict at level 0: UNSAT
                     learnt, back = self._analyze(conflict)
+                    learnt_count += 1
                     self._backtrack(back)
                     if self._san:
                         self._san.check_learned(self, learnt, back)
@@ -267,12 +312,3 @@ class Solver:
                 decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
-
-
-def solve_cnf(num_vars: int, clauses: Iterable[Sequence[int]],
-              assumptions: Iterable[int] = (),
-              budget: Budget | None = None) -> dict[int, bool] | None:
-    """Convenience wrapper: solve with optional assumption units."""
-    all_clauses = [list(c) for c in clauses]
-    all_clauses.extend([lit] for lit in assumptions)
-    return Solver(num_vars, all_clauses).solve(budget=budget)

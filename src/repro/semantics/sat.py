@@ -1,10 +1,10 @@
-"""Propositional grounding and a DPLL SAT solver.
+"""Propositional grounding, CNF encoding and the satisfiability entry point.
 
 This module is the engine below the finite-countermodel search: first-order
 sentences are *grounded* over a fixed finite domain into propositional
 formulas whose atoms are ground relational facts, the result is converted to
-CNF by a Plaisted-Greenbaum encoding, and satisfiability is decided by DPLL
-with unit propagation.
+CNF by a Plaisted-Greenbaum encoding, and satisfiability is decided by the
+CDCL solver of :mod:`repro.semantics.cdcl` (:func:`dpll`).
 
 The guarded fragment and its two-variable counting extension both have the
 finite model property, so searching for finite models over a growing domain
@@ -214,7 +214,7 @@ def _encode(cnf: CNF, phi: Formula) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# DPLL
+# Satisfiability
 # ---------------------------------------------------------------------------
 
 
@@ -222,117 +222,15 @@ def dpll(cnf: CNF, assumptions: Iterable[int] = (),
          budget=None) -> dict[int, bool] | None:
     """Decide satisfiability; returns a total assignment or None.
 
-    Delegates to the CDCL solver (:mod:`repro.semantics.cdcl`); the legacy
-    DPLL implementation is kept as :func:`dpll_basic` for the ablation
-    benchmark.  *budget* is an optional :class:`repro.runtime.Budget`
-    threaded into the solver's cooperative checkpoints.
+    Runs the CDCL solver (:mod:`repro.semantics.cdcl`) on the clauses plus
+    one unit clause per assumption literal.  *budget* is an optional
+    :class:`repro.runtime.Budget` threaded into the solver's cooperative
+    checkpoints.
     """
-    from .cdcl import solve_cnf
+    from .cdcl import Solver
 
-    return solve_cnf(cnf.num_vars, cnf.clauses, assumptions, budget=budget)
-
-
-def dpll_basic(cnf: CNF, assumptions: Iterable[int] = ()) -> dict[int, bool] | None:
-    """Plain DPLL with unit propagation (no learning, no watched literals).
-
-    Kept for the solver ablation benchmark; prefer :func:`dpll`.
-    """
-    assign: dict[int, bool] = {}
-    clauses = [list(c) for c in cnf.clauses]
-    for lit in assumptions:
-        clauses.append([lit])
-
-    # watch structure: map var -> clause indices (simple full scan per var)
-    occurs: dict[int, list[int]] = {}
-    for idx, clause in enumerate(clauses):
-        for lit in clause:
-            occurs.setdefault(abs(lit), []).append(idx)
-
-    def value(lit: int) -> bool | None:
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def unit_propagate(trail: list[int]) -> bool:
-        """Propagate; returns False on conflict.  Records sets in *trail*."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned: list[int] = []
-                satisfied = False
-                for lit in clause:
-                    v = value(lit)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is None:
-                        unassigned.append(lit)
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return False
-                if len(unassigned) == 1:
-                    lit = unassigned[0]
-                    assign[abs(lit)] = lit > 0
-                    trail.append(abs(lit))
-                    changed = True
-        return True
-
-    def choose() -> int | None:
-        best_var: int | None = None
-        best_len = None
-        for clause in clauses:
-            unassigned: list[int] = []
-            satisfied = False
-            for lit in clause:
-                v = value(lit)
-                if v is True:
-                    satisfied = True
-                    break
-                if v is None:
-                    unassigned.append(lit)
-            if satisfied or not unassigned:
-                continue
-            if best_len is None or len(unassigned) < best_len:
-                best_len = len(unassigned)
-                best_var = abs(unassigned[0])
-                if best_len == 1:
-                    break
-        return best_var
-
-    # Iterative search with an explicit decision stack.
-    stack: list[tuple[int, bool, list[int]]] = []  # (var, tried_other, trail)
-    trail0: list[int] = []
-    if not unit_propagate(trail0):
-        return None
-    while True:
-        var = choose()
-        if var is None:
-            # all clauses satisfied; complete assignment arbitrarily
-            for v in range(1, cnf.num_vars + 1):
-                assign.setdefault(v, False)
-            return assign
-        trail: list[int] = []
-        assign[var] = True
-        trail.append(var)
-        stack.append((var, False, trail))
-        while not unit_propagate(stack[-1][2]):
-            # conflict: backtrack
-            while True:
-                if not stack:
-                    return None
-                var, tried_other, trail = stack.pop()
-                for v in trail:
-                    del assign[v]
-                if not tried_other:
-                    trail2: list[int] = []
-                    assign[var] = False
-                    trail2.append(var)
-                    stack.append((var, True, trail2))
-                    break
-            # loop back to propagate the flipped decision
+    clauses = cnf.clauses + [[lit] for lit in assumptions]
+    return Solver(cnf.num_vars, clauses).solve(budget=budget)
 
 
 def model_to_interpretation(cnf: CNF, assignment: Mapping[int, bool]) -> Interpretation:

@@ -82,6 +82,62 @@ class TestFixpointEvaluation:
         assert len(answers) == 61
 
 
+class TestSelfLoops:
+    """A loop R(a,a) makes a both endpoints of an R-pair type: the
+    fixpoint refines a the way the emitted program's edge rule does."""
+
+    LOOP = ontology("forall x,y (R(x,y) -> A(x))", name="loop")
+    LOOP_Q = parse_cq("q(x) <- A(x)")
+
+    def test_minimal_case(self):
+        rw = TypeRewriting(self.LOOP, self.LOOP_Q)
+        engine = CertainEngine(self.LOOP)
+        D = make_instance("R(a,a)", "R(b,c)")
+        assert rw.answers(D) == {a, b}
+        assert rw.certain(D, a)
+        assert {t[0] for t in goal_answers(rw.to_datalog_program(), D)} == {a, b}
+        assert {t[0] for t in engine.certain_answers(D, self.LOOP_Q)} == {a, b}
+
+    def test_binary_answers_stay_distinct_pairs(self):
+        rw = TypeRewriting(ontology("forall x,y (R(x,y) -> S(x,y))"),
+                           parse_cq("q(x,y) <- S(x,y)"))
+        assert rw.answers(make_instance("R(a,a)", "R(a,b)")) == {(a, b)}
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_three_routes_agree_on_generated_instances_with_loops(self, seed):
+        import random
+
+        from repro.chaos.generate import WorkloadSpec, generate_workload
+
+        onto = generate_workload(
+            WorkloadSpec(seed=seed, family="horn", jobs=1)).ontology()
+        sig = onto.sig()
+        unary = sorted(p for p, k in sig.items() if k == 1)
+        binary = sorted(p for p, k in sig.items() if k == 2)
+        engine = CertainEngine(onto)
+        rng = random.Random(seed)
+        consts = ["c0", "c1", "c2", "c3"]
+        for pred in unary:
+            q = parse_cq(f"q(x) <- {pred}(x)")
+            rw = TypeRewriting(onto, q)
+            program = rw.to_datalog_program()
+            for _ in range(6):
+                facts = set()
+                for _ in range(rng.randint(1, 6)):
+                    x, y = rng.choice(consts), rng.choice(consts)
+                    roll = rng.random()
+                    if roll < 0.35:
+                        facts.add(f"{rng.choice(unary)}({x})")
+                    elif roll < 0.6:
+                        facts.add(f"{rng.choice(binary)}({x},{x})")
+                    else:
+                        facts.add(f"{rng.choice(binary)}({x},{y})")
+                D = make_instance(*sorted(facts))
+                ladder = {t[0] for t in engine.certain_answers(D, q)}
+                assert rw.answers(D) == ladder, sorted(facts)
+                assert {t[0] for t in goal_answers(program, D)} == ladder
+
+
 class TestBinaryRAQs:
     """Binary-answer rAQs through the type rewriting."""
 

@@ -11,7 +11,7 @@ from repro.logic.instance import Interpretation, disjoint_union, make_instance
 from repro.logic.model_check import evaluate
 from repro.logic.syntax import And, Atom, Const, Not, Or, Var, nnf
 from repro.queries.cq import CQ
-from repro.semantics.cdcl import solve_cnf
+from repro.semantics.cdcl import Solver
 
 # -- strategies ----------------------------------------------------------------
 
@@ -214,7 +214,7 @@ class TestCDCLProperties:
         min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_model_satisfies_clauses(self, clauses):
-        model = solve_cnf(5, clauses)
+        model = Solver(5, clauses).solve()
         if model is not None:
             for clause in clauses:
                 assert any(
@@ -228,7 +228,7 @@ class TestCDCLProperties:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_brute_force(self, clauses):
         import itertools
-        model = solve_cnf(4, clauses)
+        model = Solver(4, clauses).solve()
         brute = any(
             all(any((assign[abs(l) - 1] == (l > 0)) for l in clause)
                 for clause in clauses)

@@ -1,4 +1,4 @@
-"""Unit tests for the SAT layer: grounding, CNF encoding, CDCL, DPLL."""
+"""Unit tests for the SAT layer: grounding, CNF encoding, the CDCL solver."""
 
 import itertools
 
@@ -8,13 +8,16 @@ from repro.logic.instance import make_instance
 from repro.logic.model_check import evaluate
 from repro.logic.parser import parse_formula
 from repro.logic.syntax import And, Atom, Bottom, Const, Not, Or, Top, Var
-from repro.semantics.cdcl import Solver, solve_cnf
+from repro.semantics.cdcl import Solver
 from repro.semantics.sat import (
-    CNF, add_formula, add_formula_iff, dpll, dpll_basic, ground,
-    model_to_interpretation,
+    CNF, add_formula, add_formula_iff, dpll, ground, model_to_interpretation,
 )
 
 a, b = Const("a"), Const("b")
+
+
+def solve(num_vars, clauses):
+    return Solver(num_vars, clauses).solve()
 
 
 class TestGrounding:
@@ -76,10 +79,10 @@ class TestEncoding:
         add_formula_iff(cnf, ind, Atom("A", (a,)))
         atom_var = cnf.atom_var(("A", (a,)))
         # indicator true forces atom true
-        model = solve_cnf(cnf.num_vars, cnf.clauses, [ind])
+        model = dpll(cnf, [ind])
         assert model is not None and model[atom_var]
         # indicator false forces atom false
-        model2 = solve_cnf(cnf.num_vars, cnf.clauses, [-ind])
+        model2 = dpll(cnf, [-ind])
         assert model2 is not None and not model2[atom_var]
 
     def test_add_formula_iff_valid(self):
@@ -107,12 +110,12 @@ class TestEncoding:
 
 class TestCDCL:
     def test_simple_unsat(self):
-        assert solve_cnf(2, [[1], [-1]]) is None
+        assert solve(2, [[1], [-1]]) is None
 
     def test_implication_chain(self):
         # 1 -> 2 -> 3 -> ... -> -1: contradiction
         clauses = [[1], [-1, 2], [-2, 3], [-3, -1]]
-        assert solve_cnf(3, clauses) is None
+        assert solve(3, clauses) is None
 
     def test_pigeonhole_3_2(self):
         """3 pigeons in 2 holes: classically UNSAT (exercises learning)."""
@@ -124,32 +127,22 @@ class TestCDCL:
         for h in range(2):
             for i, j in itertools.combinations(range(3), 2):
                 clauses.append([-v(i, h), -v(j, h)])
-        assert solve_cnf(6, clauses) is None
+        assert solve(6, clauses) is None
+
+    @staticmethod
+    def _cnf(num_vars, clauses):
+        cnf = CNF()
+        cnf._next = num_vars + 1
+        cnf.clauses = [list(c) for c in clauses]
+        return cnf
 
     def test_satisfiable_with_assumptions(self):
-        model = solve_cnf(3, [[1, 2], [-1, 3]], assumptions=[1])
+        model = dpll(self._cnf(3, [[1, 2], [-1, 3]]), assumptions=[1])
         assert model is not None
         assert model[1] and model[3]
 
     def test_conflicting_assumptions(self):
-        assert solve_cnf(2, [[1]], assumptions=[-1]) is None
-
-    def test_dpll_basic_agrees_with_cdcl(self):
-        """Ablation check: the reference DPLL agrees with CDCL."""
-        from repro.logic.parser import parse_formula
-
-        cases = [
-            "forall x (x = x -> (A(x) | B(x)))",
-            "forall x (x = x -> (A(x) -> ~A(x)))",
-            "exists x (A(x) & ~A(x))",
-        ]
-        for text in cases:
-            phi = ground(parse_formula(text), [a, b])
-            cnf1 = CNF()
-            add_formula(cnf1, phi)
-            cnf2 = CNF()
-            add_formula(cnf2, phi)
-            assert (dpll(cnf1) is None) == (dpll_basic(cnf2) is None)
+        assert dpll(self._cnf(2, [[1]]), assumptions=[-1]) is None
 
 
 class TestModelExtraction:
