@@ -15,7 +15,13 @@ fallback provenance, escalation-ladder trace, resources consumed), exposed
 via ``entails_outcome`` / ``consistency_outcome`` and ``last_outcome``.
 ``certain_answers`` decides every candidate tuple in **one** ladder — one
 chase per chase rung, one countermodel search per still-pending tuple per
-SAT rung — and its outcome covers the whole candidate set.
+SAT rung — and its outcome covers the whole candidate set.  Each chase
+rung fires only the rules the question can see, split once per query
+predicates (:func:`repro.semantics.rules.split_rules`): rules that feed
+the query branch, rules that only feed constraints are searched for one
+consistent completion, the rest never fire.  Consistency is the
+empty-query case, and ``explain`` keeps every rule, because its
+countermodel must be a model of O.
 Under a :class:`repro.runtime.Budget` the engine climbs an escalation
 ladder — geometrically growing chase depths and SAT domain bounds under
 the remaining budget — and degrades to an explicit
@@ -46,7 +52,7 @@ from ..runtime import (
 from .chase import ChaseError, ChaseResult, answer_from_chase, chase
 from .modelsearch import certain_answer as sat_certain_answer
 from .modelsearch import find_model
-from .rules import DisjunctiveRule
+from .rules import DisjunctiveRule, RuleSplit, split_rules
 
 Backend = Literal["auto", "chase", "sat"]
 
@@ -110,6 +116,7 @@ class CertainEngine:
             self._rules = convert_ontology_cached(self.onto)
         if self.backend == "chase" and self._rules is None:
             raise ValueError("ontology is not rule-convertible; use backend='sat'")
+        self._splits: dict[frozenset[str], RuleSplit] = {}
 
     def compile(self, query, **options) -> "object":
         """Compile this engine's ontology with *query* into a reusable
@@ -153,6 +160,20 @@ class CertainEngine:
     def uses_chase(self) -> bool:
         return self.backend != "sat" and self._rules is not None
 
+    def _split(self, query: CQ | UCQ | None) -> RuleSplit:
+        """The chase's rule split for *query* (``None``: consistency
+        only), memoised on the predicates it depends on."""
+        visible = frozenset(self.onto.functional) | frozenset(
+            self.onto.inverse_functional)
+        if query is not None:
+            disjuncts = query.disjuncts if isinstance(query, UCQ) else (query,)
+            visible |= {atom.pred for cq in disjuncts for atom in cq.atoms}
+        split = self._splits.get(visible)
+        if split is None:
+            split = self._splits[visible] = split_rules(self._rules or (),
+                                                        visible)
+        return split
+
     # -- budgeted arbitration core -------------------------------------------
 
     def _resolve_budget(self, budget: Budget | None) -> Budget:
@@ -169,6 +190,7 @@ class CertainEngine:
         instance: Interpretation,
         budget: Budget,
         items: Sequence[Hashable],
+        split: RuleSplit,
         settle: _Settle,
         search: _Search,
         sat_terminal: bool,
@@ -178,9 +200,10 @@ class CertainEngine:
         """The escalation ladder shared by entailment and consistency.
 
         The ladder settles a set of pending *items* rung by rung.  Each
-        chase rung runs the chase of *instance* once and reads every
-        pending item off that one result with *settle*; items it leaves
-        truncated move on.  Each SAT rung then runs *search* once per item
+        chase rung runs the chase of *instance* once, with the rule
+        *split* of the question asked, and reads every pending item off
+        that one result with *settle*; items it leaves truncated move on.
+        Each SAT rung then runs *search* once per item
         still pending: an answer equal to *sat_terminal* is definitive (a
         concrete (counter)model was found), the final rung's other answer
         is bound-relative.  Budget exhaustion yields verdict UNKNOWN for
@@ -201,8 +224,8 @@ class CertainEngine:
         with current_tracer().span("certain.decide",
                                    candidates=len(items)) as span:
             outcome, decided = self._decide_rungs(
-                instance, budget, items, settle, search, sat_terminal,
-                chase_reasons, sat_reasons)
+                instance, budget, items, split, settle, search,
+                sat_terminal, chase_reasons, sat_reasons)
             span.set(verdict=outcome.verdict.value, engine=outcome.engine,
                      definitive=outcome.definitive,
                      rungs=len(outcome.attempts))
@@ -213,6 +236,7 @@ class CertainEngine:
         instance: Interpretation,
         budget: Budget,
         items: Sequence[Hashable],
+        split: RuleSplit,
         settle: _Settle,
         search: _Search,
         sat_terminal: bool,
@@ -247,9 +271,11 @@ class CertainEngine:
                     try:
                         try:
                             budget.check_deadline("certain.chase")
-                            result = chase(self.onto, instance,
-                                           rules=self._rules,
-                                           max_depth=depth, budget=budget)
+                            result = chase(
+                                self.onto, instance, rules=split.exhaustive,
+                                deferred=split.deferred,
+                                pruned=len(split.pruned),
+                                max_depth=depth, budget=budget)
                             for item in pending:
                                 budget.check_deadline("certain.chase")
                                 verdict, witness = settle(result, item)
@@ -367,7 +393,12 @@ class CertainEngine:
         keep_witness: bool = False,
     ) -> tuple[Outcome, dict[Hashable, Decision]]:
         """Decide ``O, D |= q(t)`` for every candidate tuple *t* in one
-        ladder (see :meth:`_decide`)."""
+        ladder (see :meth:`_decide`).
+
+        The chase fires only the rules q can see (:meth:`_split`): the
+        other rules add no fact q reads, so a definitive verdict is one
+        the chase of every rule would reach too.  A kept witness must be
+        a model of O, so with *keep_witness* every rule stays exhaustive."""
         self._preflight_workload(instance, query)
         budget = self._resolve_budget(budget)
 
@@ -392,8 +423,10 @@ class CertainEngine:
                 budget=budget)
             return result.holds, result.countermodel
 
+        split = (RuleSplit(tuple(self._rules or ()), (), ()) if keep_witness
+                 else self._split(query))
         outcome, decided = self._decide(
-            instance, budget, candidates, settle, search,
+            instance, budget, candidates, split, settle, search,
             sat_terminal=False,
             chase_reasons={
                 "yes": "query holds in every consistent chase branch",
@@ -470,10 +503,12 @@ class CertainEngine:
 
         def settle(result: ChaseResult, _item: Hashable,
                    ) -> tuple[str, Interpretation | None]:
-            # A *complete* consistent branch is closed under every rule and
-            # is therefore a genuine model.  A consistent-but-truncated
-            # branch is not a witness: firing the skipped existential
-            # triggers may yet derive an inconsistency, so escalate.
+            # A *complete* consistent branch extends to a model: its
+            # deferred search found a complete consistent completion, and
+            # the pruned rules reach no constraint.  A consistent-but-
+            # truncated branch is not a witness: firing the skipped
+            # existential triggers may yet derive an inconsistency, so
+            # escalate.
             complete = [b for b in result.consistent_branches()
                         if b.complete]
             if complete:
@@ -488,7 +523,7 @@ class CertainEngine:
             return model is not None, model
 
         outcome, _ = self._decide(
-            instance, budget, [()], settle, search,
+            instance, budget, [()], self._split(None), settle, search,
             sat_terminal=True,
             chase_reasons={
                 "yes": "chase produced a consistent branch",

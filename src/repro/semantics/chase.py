@@ -20,6 +20,14 @@ homomorphic image of some branch (preserving dom(D)).  Consequently
 
 Nulls carry a creation depth; branches that would need nulls deeper than
 ``max_depth`` are truncated and marked incomplete.
+
+A query need not see every rule (:func:`repro.semantics.rules.split_rules`).
+Given *deferred* rules, which only feed integrity constraints, the chase
+branches on the other rules and settles each finished branch with a
+depth-first search of the deferred ones for one consistent completion:
+a disjunction the query cannot observe matters only through ⊥.  The
+branch keeps none of the deferred facts, and the statements above hold
+for queries over the predicates the exhaustive rules feed.
 """
 
 from __future__ import annotations
@@ -194,15 +202,33 @@ def _merge_pairs(branch: Branch, rel: str, key_pos: int) -> bool:
     return False
 
 
+def _active_triggers(
+    branch: Branch, rules: Sequence[DisjunctiveRule],
+) -> Iterator[tuple[DisjunctiveRule, dict[Var, Element]]]:
+    """The active triggers of *rules* on *branch*, in rule order: body
+    matches (extended over the active domain for frontier variables)
+    under which no head disjunct is satisfied yet."""
+    domain = sorted(branch.interp.dom(), key=repr)
+    for rule in rules:
+        frontier = sorted(rule.frontier_vars())
+        body, heads = _rule_patterns(rule)
+        for env in _rule_matches(body, branch.interp, domain, frontier):
+            if not any(_head_satisfied(h, p, branch.interp, env)
+                       for h, p in zip(rule.heads, heads)):
+                yield rule, env
+
+
 def chase(
     onto: Ontology,
     instance: Interpretation,
-    rules: list[DisjunctiveRule] | None = None,
+    rules: Sequence[DisjunctiveRule] | None = None,
     max_depth: int = 6,
     max_branches: int = 512,
     max_facts: int = 200_000,
     sanitize: bool | None = None,
     budget: Budget | None = None,
+    deferred: Sequence[DisjunctiveRule] = (),
+    pruned: int = 0,
 ) -> ChaseResult:
     """Run the disjunctive chase of *instance* with *onto*.
 
@@ -213,6 +239,18 @@ def chase(
     rule firing is a cooperative checkpoint (deadline / chase-step / null
     accounting, raising :class:`repro.runtime.BudgetExceeded`) and the
     ``chase_truncate`` fault site can force depth exhaustion.
+
+    With *deferred* rules (see :func:`repro.semantics.rules.split_rules`)
+    the run has two phases.  The chase branches exhaustively on *rules*;
+    each branch they leave with no active trigger is then settled by a
+    depth-first search of *deferred* on a copy of it.  The search stops
+    at the first complete consistent leaf; if its only consistent leaves
+    are truncated the branch becomes incomplete, and if every leaf is
+    inconsistent the branch is dropped like one that violated a
+    constraint.  The returned branches carry no deferred facts.  Search
+    firings count as steps, and search nodes count against
+    *max_branches*.  *pruned*, the number of rules the caller left out of
+    both lists, is only recorded on the span.
     """
     if rules is None:
         rules = convert_ontology(onto)
@@ -228,76 +266,115 @@ def chase(
     pending = [initial]
     done: list[Branch] = []
     steps = 0
+    search_nodes = 0
+
+    def expand(branch: Branch,
+               rule_set: Sequence[DisjunctiveRule]) -> list[Branch] | None:
+        """Fire the first active trigger of *rule_set* on *branch*.  Returns
+        its successor branches; ``[]`` when a constraint fired (the branch
+        is then inconsistent); ``None`` when no trigger can fire (those cut
+        off by the depth bound mark the branch incomplete)."""
+        nonlocal steps
+        if budget is not None:
+            budget.check_deadline("chase")
+        if len(branch.interp) > max_facts:
+            raise ChaseError(f"branch exceeded {max_facts} facts")
+        for rule, env in _active_triggers(branch, rule_set):
+            if rule.is_constraint():
+                branch.consistent = False
+                return []
+            # Truncation: creating nulls beyond the depth bound (the
+            # ``chase_truncate`` fault site forces the same path).
+            trigger_depth = max(
+                (branch.depth.get(e, 0) for e in env.values()), default=0)
+            needs_nulls = any(h.exist_vars for h in rule.heads)
+            if needs_nulls and (
+                    trigger_depth + 1 > max_depth
+                    or (budget is not None
+                        and budget.inject("chase_truncate"))):
+                branch.complete = False
+                continue
+            steps += 1
+            if budget is not None:
+                budget.tick_chase_step()
+                if needs_nulls:
+                    budget.tick_nulls(sum(
+                        len(h.exist_vars) * h.count for h in rule.heads))
+            if san:
+                san.check_firing(rule, branch.interp, env)
+            successors = []
+            for head in rule.heads:
+                succ = branch.clone()
+                _apply_head(succ, head, env)
+                _enforce_functionality(succ, onto)
+                if san and succ.consistent:
+                    san.check_branch(succ, onto, max_depth, base_dom)
+                successors.append(succ)
+            return successors
+        return None
+
+    def completes(branch: Branch) -> bool:
+        """Does some completion of *branch* under *deferred* stay
+        consistent?  Marks *branch* incomplete when only truncated
+        completions do."""
+        nonlocal search_nodes
+        # The root shares the branch's facts: expand() never changes a
+        # branch's facts, only those of its (cloned) successors.
+        stack = [Branch(branch.interp, branch.depth,
+                        _null_counter=branch._null_counter)]
+        nodes, open_leaf = 1, False
+        try:
+            while stack:
+                node = stack.pop()
+                if not node.consistent:
+                    continue
+                successors = expand(node, deferred)
+                if successors is None:
+                    # Once truncated, any consistent leaf settles it.
+                    if node.complete or not branch.complete:
+                        return True
+                    open_leaf = True
+                    continue
+                nodes += len(successors)
+                if len(done) + len(pending) + nodes > max_branches:
+                    raise ChaseError(
+                        f"more than {max_branches} chase branches")
+                stack.extend(reversed(successors))
+            if open_leaf:
+                branch.complete = False
+            return open_leaf
+        finally:
+            search_nodes += nodes
 
     # One span per chase run; a BudgetExceeded/ChaseError escaping the
     # block marks the span failed on the way out (repro.obs).
     with current_tracer().span("chase", depth=max_depth) as span:
         while pending:
             branch = pending.pop()
-            if budget is not None:
-                budget.check_deadline("chase")
             if not branch.consistent:
+                if budget is not None:
+                    budget.check_deadline("chase")
                 done.append(branch)
                 continue
-            if len(branch.interp) > max_facts:
-                raise ChaseError(f"branch exceeded {max_facts} facts")
-            fired = False
-            domain = sorted(branch.interp.dom(), key=repr)
-            for rule in rules:
-                frontier = sorted(rule.frontier_vars())
-                body, heads = _rule_patterns(rule)
-                for env in _rule_matches(body, branch.interp, domain, frontier):
-                    if any(_head_satisfied(h, p, branch.interp, env)
-                           for h, p in zip(rule.heads, heads)):
-                        continue
-                    if rule.is_constraint():
-                        branch.consistent = False
-                        fired = True
-                        break
-                    # Truncation: creating nulls beyond the depth bound (the
-                    # ``chase_truncate`` fault site forces the same path).
-                    trigger_depth = max(
-                        (branch.depth.get(e, 0) for e in env.values()), default=0)
-                    needs_nulls = any(h.exist_vars for h in rule.heads)
-                    if needs_nulls and (
-                            trigger_depth + 1 > max_depth
-                            or (budget is not None
-                                and budget.inject("chase_truncate"))):
-                        branch.complete = False
-                        continue
-                    steps += 1
-                    if budget is not None:
-                        budget.tick_chase_step()
-                        if needs_nulls:
-                            budget.tick_nulls(sum(
-                                len(h.exist_vars) * h.count for h in rule.heads))
-                    if san:
-                        san.check_firing(rule, branch.interp, env)
-                    successors = []
-                    for head in rule.heads:
-                        succ = branch.clone()
-                        _apply_head(succ, head, env)
-                        _enforce_functionality(succ, onto)
-                        if san and succ.consistent:
-                            san.check_branch(succ, onto, max_depth, base_dom)
-                        successors.append(succ)
-                    if len(done) + len(pending) + len(successors) > max_branches:
-                        raise ChaseError(f"more than {max_branches} chase branches")
-                    pending.extend(successors)
-                    fired = True
-                    break
-                if fired:
-                    break
-            if not fired:
-                done.append(branch)
+            successors = expand(branch, rules)
+            if successors is None:
+                if not deferred or completes(branch):
+                    done.append(branch)
+                continue
+            if len(done) + len(pending) + len(successors) > max_branches:
+                raise ChaseError(f"more than {max_branches} chase branches")
+            pending.extend(successors)
 
         span.set(
             steps=steps,
             branches=len(done),
             consistent=sum(1 for b in done if b.consistent),
             truncated=any(not b.complete for b in done),
+            pruned=pruned,
+            deferred=len(deferred),
+            search_nodes=search_nodes,
         )
-    return ChaseResult(branches=done, rules=rules, max_depth=max_depth)
+    return ChaseResult(branches=done, rules=list(rules), max_depth=max_depth)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,82 @@ class DisjunctiveRule:
         return f"{body} -> {heads}"
 
 
+@dataclass(frozen=True)
+class RuleSplit:
+    """The rules one query needs, in the three roles the chase gives them.
+
+    *exhaustive* rules can feed the query's predicates, so the chase
+    branches on them; *deferred* rules only feed integrity constraints,
+    so one consistent completion of them settles a branch; *pruned* rules
+    can feed neither and never fire.
+    """
+
+    exhaustive: tuple[DisjunctiveRule, ...]
+    deferred: tuple[DisjunctiveRule, ...]
+    pruned: tuple[DisjunctiveRule, ...]
+
+
+def _backward_closure(rules: Sequence[DisjunctiveRule],
+                      seed: Iterable[str]) -> frozenset[str]:
+    """*seed* closed under: a rule with a head predicate in the set puts
+    its body predicates in the set."""
+    edges: dict[str, set[str]] = {}
+    for rule in rules:
+        for head in rule.heads:
+            for atom in head.atoms:
+                edges.setdefault(atom.pred, set()).update(
+                    a.pred for a in rule.body)
+    seen = set(seed)
+    frontier = list(seen)
+    while frontier:
+        for dep in edges.get(frontier.pop(), ()):
+            if dep not in seen:
+                seen.add(dep)
+                frontier.append(dep)
+    return frozenset(seen)
+
+
+def split_rules(rules: Sequence[DisjunctiveRule],
+                visible: Iterable[str]) -> RuleSplit:
+    """Split *rules* for a query over the predicates *visible* (the query's
+    predicates plus the ontology's (inverse-)functional roles, whose EGDs
+    merge elements of visible facts).
+
+    Q is *visible* closed backwards over the rules, C the same closure
+    started from Q plus every constraint body.  Rules with a head
+    predicate in Q, and constraints whose body lies in Q, are exhaustive;
+    the other rules with a head predicate in C, and the other constraints,
+    are deferred; the rest are pruned.  A kept rule with frontier
+    variables ranges over every element, including the nulls a deferred
+    search creates, so then nothing is deferred.
+    """
+    def body(rule: DisjunctiveRule) -> set[str]:
+        return {a.pred for a in rule.body}
+
+    def heads(rule: DisjunctiveRule) -> set[str]:
+        return {a.pred for h in rule.heads for a in h.atoms}
+
+    q_preds = _backward_closure(rules, visible)
+    c_preds = _backward_closure(rules, q_preds.union(
+        *(body(r) for r in rules if r.is_constraint())))
+    roles: list[tuple[DisjunctiveRule, str]] = []
+    for rule in rules:
+        if rule.is_constraint():
+            role = "exhaustive" if body(rule) <= q_preds else "deferred"
+        elif heads(rule) & q_preds:
+            role = "exhaustive"
+        elif heads(rule) & c_preds:
+            role = "deferred"
+        else:
+            role = "pruned"
+        roles.append((rule, role))
+    if any(rule.frontier_vars() for rule, role in roles if role != "pruned"):
+        roles = [(rule, "pruned" if role == "pruned" else "exhaustive")
+                 for rule, role in roles]
+    return RuleSplit(*(tuple(rule for rule, role in roles if role == wanted)
+                       for wanted in ("exhaustive", "deferred", "pruned")))
+
+
 class NotConvertible(Exception):
     """The sentence does not fit the disjunctive-rule fragment."""
 

@@ -233,8 +233,17 @@ def test_corpus_reaches_sat_rungs_and_inconsistent_instances(
 # -- the Outcome of a candidate set -------------------------------------------
 
 # A(a) branches into C(a) (complete) and B(a), whose R-chain never ends
-# (truncated): q(x) <- C(x) leaves a truncated, and SAT refutes it.
+# (truncated): q(x) <- C(x) leaves a truncated, and SAT refutes it.  The
+# third sentence lets C travel back along R, so q can see the chain and
+# the chase keeps its rules.
 BRANCHING = ontology("""
+forall x (A(x) -> C(x) | B(x))
+forall x (B(x) -> exists y (R(x,y) & B(y)))
+forall x,y (R(x,y) -> (C(y) -> C(x)))
+""")
+# Without that sentence q cannot see R or B: the chase drops the chain
+# rule, and the C(a)-free branch refutes a definitively.
+UNSEEN_CHAIN = ontology("""
 forall x (A(x) -> C(x) | B(x))
 forall x (B(x) -> exists y (R(x,y) & B(y)))
 """)
@@ -256,6 +265,20 @@ def test_open_query_outcome_covers_every_candidate(no_ambient_faults):
          "settled": 1},
         {"engine": "sat", "bound": 3, "result": "no", "settled": 1}]
     assert outcome.fallback == "chase truncated at depth 6"
+
+
+def test_a_chain_q_cannot_see_is_refuted_in_one_chase_attempt(
+        no_ambient_faults):
+    engine = CertainEngine(UNSEEN_CHAIN)
+    answers = engine.certain_answers(make_instance("A(a)", "C(z)"),
+                                     parse_cq("q(x) <- C(x)"))
+    assert answers == {(z,)}
+    outcome = engine.last_outcome
+    assert outcome.engine == "chase"
+    assert outcome.verdict is Verdict.YES and outcome.definitive
+    assert [att.to_dict() for att in outcome.attempts] == [
+        {"engine": "chase", "bound": 6, "result": "yes", "settled": 2}]
+    assert outcome.fallback is None
 
 
 def test_open_query_outcome_is_bound_relative_if_any_tuple_is(

@@ -1,5 +1,7 @@
 """Tests for the certain-answer explanation API."""
 
+from pathlib import Path
+
 from repro.logic.instance import make_instance
 from repro.logic.model_check import satisfies_all
 from repro.logic.ontology import ontology
@@ -9,6 +11,9 @@ from repro.semantics.certain import CertainEngine
 
 HAND = ontology(
     "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))")
+CLINIC = ontology(
+    (Path(__file__).resolve().parent.parent / "examples" / "ontologies"
+     / "clinic.gf").read_text())
 
 
 class TestExplain:
@@ -23,15 +28,21 @@ class TestExplain:
             exp.witness, (Const("h"),))
 
     def test_negative_with_countermodel(self):
-        engine = CertainEngine(HAND)
-        exp = engine.explain(
-            make_instance("Hand(h)"),
-            parse_cq("q(x) <- hasFinger(x,y) & Index(y)"), (Const("h"),))
-        assert not exp.holds and not bool(exp)
-        assert exp.witness is not None
-        assert satisfies_all(exp.witness, HAND.all_sentences())
-        assert not parse_cq("q(x) <- hasFinger(x,y) & Index(y)").holds(
-            exp.witness, (Const("h"),))
+        # The clinic case: the chase for q(x) <- Person(x) alone would not
+        # give b its Clinician(b) and Doctor(b) | Nurse(b), so explain
+        # must chase every rule to return a model of O.
+        cases = [
+            (HAND, ["Hand(h)"], "q(x) <- hasFinger(x,y) & Index(y)", "h"),
+            (CLINIC, ["TreatedBy(a,b)"], "q(x) <- Person(x)", "b"),
+        ]
+        for onto, facts, text, elem in cases:
+            engine = CertainEngine(onto)
+            exp = engine.explain(
+                make_instance(*facts), parse_cq(text), (Const(elem),))
+            assert not exp.holds and not bool(exp)
+            assert exp.witness is not None
+            assert satisfies_all(exp.witness, onto.all_sentences())
+            assert not parse_cq(text).holds(exp.witness, (Const(elem),))
 
     def test_sat_backend_explanations(self):
         # not rule-convertible: forced to the SAT backend

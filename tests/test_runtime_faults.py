@@ -26,6 +26,10 @@ forall x (x = x -> (A(x) -> exists y (R(x,y) & P(y))))
 forall x (x = x -> (B(x) -> exists y (S(x,y) & Q(y))))
 """)
 
+# Q clashes with P, and Q facts come only from existential witnesses:
+# whether an instance is consistent depends on the existential triggers.
+CONSTRAINED = NON_HORN.union(ontology("forall x (Q(x) -> ~P(x))"))
+
 # (ontology, data, query, answer) tier-1-style fixtures; expected verdicts
 # come from the unbudgeted engines at runtime, not from hard-coded truth.
 WORKLOADS = [
@@ -116,7 +120,7 @@ class TestChaseTruncationFault:
         assert outcome.verdict is (Verdict.YES if expected else Verdict.NO)
 
     def test_consistency_under_truncation(self):
-        engine = CertainEngine(NON_HORN)
+        engine = CertainEngine(CONSTRAINED)
         data = make_instance("P(a)")
         expected = engine.is_consistent(data)
         budget = Budget(timeout=60,
@@ -126,6 +130,18 @@ class TestChaseTruncationFault:
         # could witness consistency: SAT must have answered.
         assert engine.last_outcome.engine == "sat"
         assert "truncated" in engine.last_outcome.fallback
+
+    def test_consistency_without_constraints_needs_no_existentials(self):
+        # NON_HORN has no constraint and no functional role, so no rule
+        # can make an instance inconsistent: the chase fires none and
+        # answers even when every existential trigger would be truncated.
+        engine = CertainEngine(NON_HORN)
+        budget = Budget(timeout=60,
+                        faults=FaultPlan([FaultSpec("chase_truncate")]))
+        outcome = engine.consistency_outcome(make_instance("P(a)"),
+                                             budget=budget)
+        assert outcome.verdict is Verdict.YES and outcome.definitive
+        assert outcome.engine == "chase" and len(outcome.attempts) == 1
 
     def test_truncation_cannot_fake_consistency(self):
         """A truncated consistent branch is not a model witness: the
