@@ -134,13 +134,13 @@ def test_compiled_plan_cold(benchmark):
 def test_compiled_plan_warm(benchmark):
     data = instances(10)
     clear_caches()
-    plan = compile_omq(ONTO, QUERY, answer_cache=AnswerCache())
+    plan, cache = compile_omq(ONTO, QUERY), AnswerCache()
     for inst in data:
-        plan.evaluate(inst)  # populate
+        plan.evaluate(inst, cache=cache)  # populate
 
     def run():
         for inst in data:
-            plan.evaluate(inst)
+            plan.evaluate(inst, cache=cache)
 
     benchmark(run)
 
@@ -525,17 +525,16 @@ def measure(repeats: int = 7) -> dict:
 
     clear_caches()
     cache = AnswerCache()
-    plan = compile_omq(ONTO, QUERY, answer_cache=cache)
+    plan = compile_omq(ONTO, QUERY)
 
     def cold():
         cache.memory.clear()
-        plan.answer_cache = cache  # re-attach: memo hits may have replaced it
         for inst in data:
-            plan.evaluate(inst)
+            plan.evaluate(inst, cache=cache)
 
     def warm():
         for inst in data:
-            plan.evaluate(inst)
+            plan.evaluate(inst, cache=cache)
 
     cold()  # populate the answer cache for the warm pass
     report = {

@@ -32,6 +32,10 @@ from ..semantics.rules import convert_ontology
 from ..logic.model_check import evaluate
 
 
+# Chase depth of the disjunction checks (the ladder has its own bounds).
+_CHASE_DEPTH = 5
+
+
 class MatStatus(Enum):
     MATERIALIZABLE = "materializable"
     NOT_MATERIALIZABLE = "not materializable"
@@ -121,12 +125,58 @@ def candidate_queries(sig: dict[str, int], include_boolean: bool = False) -> lis
     return queries
 
 
+def _branch_table(
+    onto: Ontology,
+    instance: Interpretation,
+    formulas: list[Formula],
+    chase_depth: int,
+) -> list[tuple[bool, tuple[bool, ...]]] | None:
+    """Chase *instance* once and evaluate every formula once per branch.
+
+    One row per consistent branch: ``(complete, holds)`` with ``holds[i]``
+    the truth of ``formulas[i]`` in that branch's model.  ``None`` when the
+    chase fails, so every disjunction falls back to SAT.
+    """
+    try:
+        branches = chase(onto, instance, max_depth=chase_depth)
+    except ChaseError:
+        return None
+    return [(b.complete, tuple(evaluate(f, b.interp) for f in formulas))
+            for b in branches.consistent_branches()]
+
+
+def _disjunction_certain(
+    onto: Ontology,
+    instance: Interpretation,
+    formulas: list[Formula],
+    chosen: tuple[int, ...],
+    table: list[tuple[bool, tuple[bool, ...]]] | None,
+    sat_extra: int,
+) -> bool:
+    """Is the disjunction of the *chosen* formulas certain on *instance*?
+
+    Decided on the chase *table* when it can be: certain iff it holds in
+    every consistent branch model (vacuously so when no branch is
+    consistent), and a refuting branch that is complete is a definitive
+    'no'.  Otherwise (or with no table) by SAT countermodel search.
+    """
+    if table is not None:
+        if all(any(holds[i] for i in chosen) for _, holds in table):
+            return True
+        if any(complete and not any(holds[i] for i in chosen)
+               for complete, holds in table):
+            return False
+    counter = find_model(onto, instance, extra=sat_extra,
+                         require_false=Or.of(*(formulas[i] for i in chosen)))
+    return counter is None
+
+
 def certain_disjunction(
     onto: Ontology,
     instance: Interpretation,
     formulas: list[Formula],
     engine: CertainEngine,
-    chase_depth: int = 5,
+    chase_depth: int = _CHASE_DEPTH,
     sat_extra: int = 3,
 ) -> bool:
     """Is the (instantiated) disjunction of the formulas certain?
@@ -134,26 +184,10 @@ def certain_disjunction(
     Uses chase branches when available (the disjunction is certain iff it
     holds in every consistent branch model), else SAT countermodel search.
     """
-    if engine.uses_chase:
-        try:
-            result = chase(onto, instance, max_depth=chase_depth)
-            branches = result.consistent_branches()
-            if not branches:
-                return True
-            if all(
-                any(evaluate(f, b.interp) for f in formulas)
-                for b in branches
-            ):
-                return True
-            # A refuting branch that is complete is a definitive 'no'.
-            for b in branches:
-                if b.complete and not any(evaluate(f, b.interp) for f in formulas):
-                    return False
-        except ChaseError:
-            pass
-    counter = find_model(onto, instance, extra=sat_extra,
-                         require_false=Or.of(*formulas))
-    return counter is None
+    table = (_branch_table(onto, instance, formulas, chase_depth)
+             if engine.uses_chase else None)
+    return _disjunction_certain(onto, instance, formulas,
+                                tuple(range(len(formulas))), table, sat_extra)
 
 
 def check_materializability(
@@ -195,14 +229,21 @@ def check_materializability(
                 if combo not in certain:
                     open_disjuncts.append(
                         (query, combo, query_formula(query, combo)))
+        # One chase per instance, and only when there is a tuple to try:
+        # the branches depend only on the instance, and each open disjunct
+        # is evaluated once per branch.  A tuple the chase cannot settle
+        # falls back to SAT countermodel search, as certain_disjunction.
+        formulas = [f for (_, _, f) in open_disjuncts]
+        table = None
+        if engine.uses_chase and min(len(formulas), max_disjuncts) >= 2:
+            table = _branch_table(onto, instance, formulas, _CHASE_DEPTH)
         for size in range(2, max_disjuncts + 1):
-            for chosen in itertools.combinations(open_disjuncts, size):
-                formulas = [f for (_, _, f) in chosen]
-                if certain_disjunction(onto, instance, formulas, engine,
-                                       sat_extra=sat_extra):
+            for chosen in itertools.combinations(range(len(formulas)), size):
+                if _disjunction_certain(onto, instance, formulas, chosen,
+                                        table, sat_extra):
                     witness = DisjunctionWitness(
                         instance,
-                        tuple((q, t) for (q, t, _) in chosen),
+                        tuple(open_disjuncts[i][:2] for i in chosen),
                     )
                     return MaterializabilityReport(
                         MatStatus.NOT_MATERIALIZABLE, witness, checked)

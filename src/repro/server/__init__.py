@@ -11,7 +11,8 @@ crash-safe journal so a SIGKILLed daemon restarted with ``--journal
 --resume`` serves the same final reports.
 
 * :mod:`~repro.server.admission` — :class:`TokenBucket`,
-  :class:`AdmissionController`, :func:`classify_band`;
+  :class:`AdmissionController` (re-exported here with
+  :func:`~repro.serving.plan.classify_band`, the static band it sheds by);
 * :mod:`~repro.server.state` — :class:`JobSet`, :class:`JobSetStore`;
 * :mod:`~repro.server.daemon` — :class:`ReproServer`, the HTTP transport.
 
@@ -19,10 +20,8 @@ See ``docs/serving.md`` ("Serving daemon") for endpoints and the
 admission/backpressure/drain state diagram.
 """
 
-from .admission import (
-    BAND_HARD, BAND_PTIME, AdmissionController, ClientAccount, Decision,
-    TokenBucket, classify_band,
-)
+from ..serving.plan import BAND_HARD, BAND_PTIME, classify_band
+from .admission import AdmissionController, ClientAccount, Decision, TokenBucket
 from .daemon import ReproServer, RequestError
 from .state import JobSet, JobSetStore
 

@@ -6,8 +6,8 @@ a *static* per-request cost signal: an ontology either profiles into a
 Figure-1 DICHOTOMY fragment **and** is Horn (the PTIME side — the same
 static proof that gates the ``datalog-fastpath`` plan kind), or it does
 not, in which case its workload may sit on the coNP-hard side of
-Theorem 7/8/11.  :func:`classify_band` computes that signal once per
-ontology (memoized by content fingerprint); the
+Theorem 7/8/11.  :func:`repro.serving.plan.classify_band` computes that
+signal once per ontology (memoized by content fingerprint); the
 :class:`AdmissionController` uses it for graceful degradation: when the
 bounded queue passes its high-water mark, *hard*-band submissions are
 shed with 429 while *ptime*-band traffic keeps flowing until the queue
@@ -30,47 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..logic.ontology import Ontology
-from ..serving.cache import LRUCache
-from ..serving.fingerprint import fingerprint_ontology
-
-#: The two admission bands derived from the paper's Figure 1.
-BAND_PTIME = "ptime"
-BAND_HARD = "hard"
-
-_band_cache = LRUCache(maxsize=256)
-
-
-def classify_band(onto: Ontology) -> tuple[str, str]:
-    """The static Figure-1 cost band of *onto*: ``(band, detail)``.
-
-    ``ptime`` — the ontology profiles into a DICHOTOMY fragment and is
-    Horn, so every OMQ over it evaluates in PTIME (materializable ⇔
-    unravelling tolerant ⇔ PTIME inside a DICHOTOMY band; Horn gives
-    materializability statically).  ``hard`` — no static PTIME proof:
-    the workload may contain coNP-hard OMQs and is the first to be shed
-    under overload.  Memoized by content fingerprint, so repeated
-    submissions of the same ontology classify in O(1).
-    """
-    key = fingerprint_ontology(onto)
-    hit = _band_cache.get(key)
-    if hit is not None:
-        return hit
-    from ..core.dichotomy import Status, classify_profile
-    from ..core.materializability import is_horn
-    from ..guarded.fragments import profile_ontology
-
-    _, status = classify_profile(profile_ontology(onto))
-    if status is not Status.DICHOTOMY:
-        verdict = (BAND_HARD,
-                   f"profiles outside the DICHOTOMY band ({status.name})")
-    elif not is_horn(onto):
-        verdict = (BAND_HARD,
-                   "DICHOTOMY band but not Horn: no static PTIME proof")
-    else:
-        verdict = (BAND_PTIME, "DICHOTOMY band + Horn: statically PTIME")
-    _band_cache.put(key, verdict)
-    return verdict
+from ..serving.plan import BAND_PTIME
 
 
 class TokenBucket:

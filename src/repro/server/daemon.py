@@ -53,8 +53,8 @@ from ..serving.cache import AnswerCache, conversion_cache_stats
 from ..storage.base import open_backend
 from ..serving.fingerprint import fingerprint_ontology
 from ..serving.metrics import MetricsRegistry, render_prometheus
-from ..serving.plan import plan_cache_stats
-from .admission import AdmissionController, classify_band
+from ..serving.plan import classify_band, plan_cache_stats
+from .admission import AdmissionController
 from .state import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobSet, JobSetStore,
 )

@@ -13,15 +13,20 @@ lookup or a single budgeted engine run.  The package provides:
   process-wide conversion cache that memoizes
   :func:`repro.semantics.rules.convert_ontology`;
 * :mod:`~repro.serving.plan` — :class:`CompiledOMQ` and the memoizing
-  :func:`compile_omq`;
+  :func:`compile_omq`.  A memoized plan is shared by every caller, so it
+  holds only what the ontology, query and compile options determine; an
+  answer cache is passed per call (``plan.evaluate(instance,
+  cache=AnswerCache())``);
 * :mod:`~repro.serving.batch` — :func:`evaluate_batch`: a workload of
   (instance, query) jobs fanned across a process pool under one split
   :class:`~repro.runtime.Budget`, supervised by
   :mod:`repro.resilience` — worker crashes are retried under escalated
   budgets, repeat crashers quarantined, and finished results optionally
   journaled for crash-safe ``--resume``;
-* :mod:`~repro.serving.metrics` — the counters/histograms behind the
-  batch report's ``stats`` block.
+* :mod:`~repro.serving.metrics` — counters, gauges and histograms: the
+  batch report's latency summary and the serving daemon's ``/metrics``
+  endpoint.  The report's other ``stats`` entries are counted from its
+  per-job results.
 
 Surfaced on the CLI as ``python -m repro batch``; see ``docs/serving.md``.
 """

@@ -47,7 +47,7 @@ from ..runtime import Budget
 from ..storage.base import StorageBackend, open_backend
 from .cache import AnswerCache, conversion_cache_stats
 from .fingerprint import fingerprint_ontology
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 from .plan import compile_omq
 
 
@@ -262,14 +262,8 @@ def _execute_job(
     budget: Budget | None,
     options: dict[str, Any],
     answer_cache: AnswerCache | None,
-) -> tuple[JobResult, dict[str, Any] | None]:
-    """Run one job in the current process (shared by serial and worker paths).
-
-    Returns the result plus the job's raw metrics dump (None when the job
-    failed before a plan existed).  Metrics are snapshotted per job — the
-    memoized plan is shared, so leaving them to accumulate on the plan
-    would double-count across jobs and leak across batches.
-    """
+) -> JobResult:
+    """Run one job in the current process (shared by serial and worker paths)."""
     start = time.perf_counter()
 
     def failed(reason: str, status: str = "error") -> JobResult:
@@ -284,7 +278,7 @@ def _execute_job(
             instance = _load_instance(job)
         except (OSError, ValueError) as exc:
             span.set(status="error")
-            return failed(f"data: {exc}"), None
+            return failed(f"data: {exc}")
         try:
             plan = compile_omq(
                 onto, job.query,
@@ -292,18 +286,16 @@ def _execute_job(
                 preflight=options.get("preflight", False),
                 chase_depth=options.get("chase_depth", 6),
                 sat_extra=options.get("sat_extra", 3),
-                answer_cache=answer_cache,
                 fastpath=options.get("fastpath", "off"),
             )
         except (QueryError, ValueError) as exc:
             span.set(status="error")
-            return failed(f"query: {exc}"), None
+            return failed(f"query: {exc}")
         except Exception as exc:  # LintError from preflight, etc.
             span.set(status="error")
-            return failed(f"compile: {exc}"), None
+            return failed(f"compile: {exc}")
 
-        result = plan.evaluate(instance, budget=budget)
-        metrics_raw = plan.reset_metrics().to_raw()
+        result = plan.evaluate(instance, budget=budget, cache=answer_cache)
         outcome = result.outcome
         status = "ok" if result.definitive else "unknown"
         span.set(status=status, verdict=result.verdict,
@@ -322,7 +314,7 @@ def _execute_job(
             reason="" if result.definitive else str(
                 (outcome or {}).get("reason", "resource exhausted")),
             outcome=outcome,
-        ), metrics_raw
+        )
 
 
 # Worker processes reuse one answer cache (and, transitively, the
@@ -343,7 +335,7 @@ def _worker_cache(cache_uri: str | None) -> AnswerCache:
 
 
 def _run_job(payload: tuple) -> dict[str, Any]:
-    """Process-pool entry point: JobResult + spans + metrics, all plain dicts.
+    """Process-pool entry point: JobResult + spans, all plain dicts.
 
     The worker traces into a fresh per-job :class:`repro.obs.Tracer`
     (enabled only when the driver's tracer is) and ships the spans back
@@ -355,12 +347,10 @@ def _run_job(payload: tuple) -> dict[str, Any]:
     cache = _worker_cache(options.get("cache_backend"))
     tracer = Tracer(enabled=bool(options.get("trace")))
     with tracer.activate():
-        result, metrics_raw = _execute_job(
-            index, job, onto, budget, options, cache)
+        result = _execute_job(index, job, onto, budget, options, cache)
     return {
         "result": result.to_dict(),
         "spans": tracer.to_dicts() if tracer.enabled else [],
-        "metrics": metrics_raw,
         # The durable tier's circuit breaker trips per *process*; ship the
         # flag back so the driver can surface it in BatchReport.stats.
         "cache_tripped": (cache.backend is not None
@@ -429,15 +419,13 @@ class _BatchRunner:
     finalizes results into the report/journal.  Private glue between
     :func:`evaluate_batch` and :class:`repro.resilience.Supervisor`."""
 
-    def __init__(self, onto, jobs, options, budgets, tracer, metrics,
-                 cache, pool_supervisor, retry, journal, keys,
-                 on_result=None):
+    def __init__(self, onto, jobs, options, budgets, tracer, cache,
+                 pool_supervisor, retry, journal, keys, on_result=None):
         self.onto = onto
         self.jobs = jobs
         self.options = options
         self.budgets = budgets  # index -> base per-job Budget | None
         self.tracer = tracer
-        self.metrics = metrics
         self.cache = cache  # serial-path answer cache (None when pooled)
         self.pool = pool_supervisor  # None when serial
         self.retry = retry
@@ -472,7 +460,7 @@ class _BatchRunner:
             idx = task.key
             start = time.perf_counter()
             try:
-                result, metrics_raw = _execute_job(
+                result = _execute_job(
                     idx, self.jobs[idx], self.onto, self._task_budget(task),
                     self._task_options(task), self.cache)
             except Exception as exc:
@@ -482,8 +470,6 @@ class _BatchRunner:
                     task, "crash", reason=f"{type(exc).__name__}: {exc}",
                     elapsed=time.perf_counter() - start)
                 continue
-            if metrics_raw is not None:
-                self.metrics.merge_raw(metrics_raw)
             yield AttemptOutcome(
                 task, result.status, result=result, reason=result.reason,
                 elapsed=result.elapsed)
@@ -508,8 +494,6 @@ class _BatchRunner:
             result = _result_from_dict(value["result"])
             if value.get("spans"):
                 self.tracer.merge(value["spans"])
-            if value.get("metrics") is not None:
-                self.metrics.merge_raw(value["metrics"])
             if value.get("cache_tripped"):
                 self.cache_tripped = True
             outs.append(AttemptOutcome(
@@ -629,8 +613,7 @@ def evaluate_batch(
     *tracer* defaults to the ambient :func:`repro.obs.current_tracer`.
     Worker processes trace into fresh per-job tracers and ship their spans
     back with each result; the driver merges them in job order, so span
-    counts match between ``workers=1`` and ``workers=N``.  Per-job metrics
-    travel the same road (raw dumps, merged into ``stats['metrics']``).
+    counts match between ``workers=1`` and ``workers=N``.
     """
     if tracer is None:
         tracer = current_tracer()
@@ -695,7 +678,6 @@ def evaluate_batch(
         idx: (split[pos] if split else None)
         for pos, idx in enumerate(to_run)}
 
-    metrics = MetricsRegistry()
     pool_supervisor: PoolSupervisor | None = None
     owns_pool = False
     cache: AnswerCache | None = None
@@ -723,8 +705,8 @@ def evaluate_batch(
         storage = open_backend(cache_backend)
         owns_storage = True
 
-    runner = _BatchRunner(onto, jobs, options, budgets, tracer, metrics,
-                          cache, pool_supervisor, retry, jrnl, keys,
+    runner = _BatchRunner(onto, jobs, options, budgets, tracer, cache,
+                          pool_supervisor, retry, jrnl, keys,
                           on_result=on_result)
     supervisor = Supervisor(retry, runner.execute_wave,
                             on_final=runner.finalize)
@@ -792,7 +774,6 @@ def evaluate_batch(
         "escalation_rungs": sum(max(0, r.rungs - 1) for r in results),
         "distinct_queries": len({r.query for r in results}),
         "latency": latency.summary(),
-        "metrics": metrics.to_dict(),
         "conversion_cache": conversion_cache_stats(),
         "wall_seconds": round(time.perf_counter() - wall_start, 6),
     }

@@ -5,11 +5,10 @@ Deliberately tiny and dependency-free: a :class:`Counter` is an integer, a
 that go *down* as well as up), a :class:`Histogram` keeps its raw
 observations (serving workloads are thousands of jobs, not millions of
 requests) and summarizes them as count/min/max/mean/p50/p95.  A
-:class:`MetricsRegistry` groups all three and renders the ``stats`` JSON
-block of batch reports; ``merge`` folds the registries returned by worker
-processes into the parent's, and :func:`render_prometheus` renders a
-registry in the Prometheus text exposition format for the serving
-daemon's ``/metrics`` endpoint.
+:class:`MetricsRegistry` groups all three; :func:`render_prometheus`
+renders a registry in the Prometheus text exposition format for the
+serving daemon's ``/metrics`` endpoint, and a batch report summarizes its
+per-job latencies with a :class:`Histogram`.
 
 All of them are **thread-safe**: spans and counters are written from
 engine internals (the tracing layer of :mod:`repro.obs`) and from the
@@ -113,39 +112,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             return self.histograms.setdefault(name, Histogram(name))
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other* into this registry (sums and concatenations;
-        gauges are point-in-time values, so *other*'s reading wins)."""
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, hist in other.histograms.items():
-            self.histogram(name).extend(list(hist.observations))
-
-    # -- process-boundary shipping (worker -> batch driver) ------------------
-
-    def to_raw(self) -> dict[str, object]:
-        """A picklable/JSON-able dump preserving raw observations."""
-        out: dict[str, object] = {
-            "counters": {name: c.value for name, c in self.counters.items()},
-            "histograms": {name: list(h.observations)
-                           for name, h in self.histograms.items()},
-        }
-        if self.gauges:
-            out["gauges"] = {name: g.value
-                             for name, g in self.gauges.items()}
-        return out
-
-    def merge_raw(self, raw: dict[str, object]) -> None:
-        """Fold a :meth:`to_raw` dump (e.g. from a worker process)."""
-        for name, value in (raw.get("counters") or {}).items():  # type: ignore[union-attr]
-            self.counter(name).inc(value)
-        for name, value in (raw.get("gauges") or {}).items():  # type: ignore[union-attr]
-            self.gauge(name).set(value)
-        for name, observations in (raw.get("histograms") or {}).items():  # type: ignore[union-attr]
-            self.histogram(name).extend(list(observations))
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {

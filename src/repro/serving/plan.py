@@ -9,16 +9,17 @@ instances — exactly the workload shape of a query service.  A
   time, not per instance;
 * rule conversion through the content-addressed conversion cache
   (:func:`repro.serving.cache.convert_ontology_cached`);
-* ontology classification (the Figure-1 band, without the materializability
-  search — that is a research procedure, not a serving preflight);
 * construction of the budgeted :class:`~repro.semantics.certain.CertainEngine`
   whose escalation ladder then serves every instance.
 
 :func:`compile_omq` is itself memoized per (ontology, query, options)
 fingerprint, so compiling the same OMQ twice in one process returns the
-same warm plan.  ``CompiledOMQ.evaluate`` consults an optional
-:class:`~repro.serving.cache.AnswerCache` before running the engine and
-never caches non-definitive (``UNKNOWN``) results.
+same warm plan.  A plan therefore holds only what the ontology, the query
+and the compile options determine: per-caller state stays with the
+caller.  ``CompiledOMQ.evaluate`` consults the
+:class:`~repro.serving.cache.AnswerCache` passed to that call, if any,
+before running the engine and never caches non-definitive (``UNKNOWN``)
+results.
 
 **The dichotomy-aware fast path.**  With ``fastpath="auto"`` the compiler
 additionally tries to *prove* the plan can skip the escalation ladder:
@@ -30,12 +31,14 @@ becomes a ``datalog-fastpath`` plan: evaluation is one stratified
 semi-naive fixpoint instead of the ladder's chase and SAT rungs.  Every
 refusal records its reason (``fastpath_reason``) and falls back to the
 ladder — the fast path is an optimization gate, never a soundness risk.
+The static PTIME proof is :func:`classify_band`, which the serving
+daemon's admission control also uses as its per-ontology cost band.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..logic.instance import Interpretation
@@ -50,7 +53,6 @@ from .fingerprint import (
     fingerprint_instance, fingerprint_omq, fingerprint_ontology,
     fingerprint_query,
 )
-from .metrics import MetricsRegistry
 
 
 def parse_query(text: str) -> CQ | UCQ:
@@ -101,9 +103,6 @@ class CompiledOMQ:
     ontology_fingerprint: str
     query_fingerprint: str
     fingerprint: str
-    band: str | None = None
-    answer_cache: AnswerCache | None = None
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     # Fast-path state: a statically-verified Datalog≠ rewriting.  When
     # plan_kind == "datalog-fastpath" evaluation runs `program` (already
     # optimized) under `strata`; the ladder engine stays compiled as the
@@ -128,7 +127,6 @@ class CompiledOMQ:
             "query": self.query_fingerprint,
             "backend": "chase" if self.uses_chase else "sat",
             "rules": len(self.rules) if self.rules is not None else None,
-            "band": self.band,
             "arity": self.query.arity,
             "plan_kind": self.plan_kind,
         }
@@ -145,38 +143,33 @@ class CompiledOMQ:
         self,
         instance: Interpretation,
         budget: Budget | None = None,
+        cache: AnswerCache | None = None,
     ) -> EvalResult:
         """Certain answers (or the Boolean verdict) for one instance.
 
-        Consults the answer cache first; on a miss runs the engine and —
-        when the result is definitive — populates the cache, so the next
-        evaluation of the same (plan, instance) pair is a lookup.
-
-        Cache hits observe the dedicated ``cache_hit_seconds`` histogram
-        (microseconds of lookup, not engine time), so ``eval_seconds``
-        stays an honest engine-latency distribution.
+        Consults *cache* first; on a miss runs the engine and — when the
+        result is definitive — populates *cache*, so the next evaluation of
+        the same (plan, instance) pair through it is a lookup.  The plan is
+        shared by every caller of :func:`compile_omq`, so the cache is an
+        argument of each call, never plan state.
         """
         with current_tracer().span("plan.evaluate", arity=self.query.arity) as span:
             start = time.perf_counter()
             key = None
-            if self.answer_cache is not None:
+            if cache is not None:
                 key = AnswerCache.key(
                     self.fingerprint, fingerprint_instance(instance))
-                hit = self.answer_cache.get(key)
+                hit = cache.get(key)
                 if hit is not None:
-                    self.metrics.counter("answer_cache_hits").inc()
-                    elapsed = time.perf_counter() - start
-                    self.metrics.histogram("cache_hit_seconds").observe(elapsed)
                     span.set(cache_hit=True, verdict=hit["verdict"])
                     return EvalResult(
                         verdict=hit["verdict"],
                         answers=tuple(tuple(a) for a in hit["answers"]),
                         outcome=hit["outcome"],
                         cache_hit=True,
-                        elapsed=elapsed,
+                        elapsed=time.perf_counter() - start,
                         path="cache",
                     )
-                self.metrics.counter("answer_cache_misses").inc()
 
             path = "ladder"
             try:
@@ -198,7 +191,6 @@ class CompiledOMQ:
                     verdict = "ok"
                     outcome = self._ladder_outcome()
             except ResourceExhausted as exc:
-                self.metrics.counter("unknown_results").inc()
                 span.set(cache_hit=False, verdict="unknown", path=path)
                 return EvalResult(
                     verdict="unknown",
@@ -207,28 +199,21 @@ class CompiledOMQ:
                     path=path,
                 )
 
-            self.metrics.counter(f"{path}_evals").inc()
             result = EvalResult(
                 verdict=verdict, answers=answers, outcome=outcome,
                 elapsed=time.perf_counter() - start, path=path)
             if key is not None:
-                self.answer_cache.put(key, {
+                cache.put(key, {
                     "verdict": verdict,
                     "answers": [list(a) for a in answers],
                     "outcome": outcome,
                 })
-            self.metrics.histogram("eval_seconds").observe(result.elapsed)
             span.set(cache_hit=False, verdict=verdict, path=path)
             return result
 
     def _ladder_outcome(self) -> dict[str, Any] | None:
         last = self.engine.last_outcome
-        if last is None:
-            return None
-        self.metrics.counter(f"engine_{last.engine}").inc()
-        self.metrics.counter("escalation_rungs").inc(
-            max(0, len(last.attempts) - 1))
-        return last.to_dict()
+        return None if last is None else last.to_dict()
 
     def _run_fastpath(
         self,
@@ -273,7 +258,6 @@ class CompiledOMQ:
             attempts=(Attempt(engine="datalog", bound=len(self.strata),
                               result="ok", detail=detail),),
         )
-        self.metrics.counter("engine_datalog").inc()
         return "ok", answers, outcome.to_dict()
 
     def entails(
@@ -286,18 +270,48 @@ class CompiledOMQ:
         return self.engine.entails(instance, self.query, answer,
                                    budget=budget)
 
-    def reset_metrics(self) -> MetricsRegistry:
-        """Detach and return the accumulated metrics, installing a fresh
-        registry (used by callers that snapshot per-job metrics)."""
-        snapshot = self.metrics
-        self.metrics = MetricsRegistry()
-        return snapshot
 
-    def stats(self) -> dict[str, Any]:
-        out = self.metrics.to_dict()
-        if self.answer_cache is not None:
-            out["answer_cache"] = self.answer_cache.stats()
-        return out
+# -- the static PTIME proof --------------------------------------------------
+
+#: The two cost bands derived from the paper's Figure 1.
+BAND_PTIME = "ptime"
+BAND_HARD = "hard"
+
+_band_cache = LRUCache(maxsize=256)
+
+
+def classify_band(onto: Ontology) -> tuple[str, str]:
+    """The static Figure-1 cost band of *onto*: ``(band, detail)``.
+
+    ``ptime`` — the ontology profiles into a DICHOTOMY fragment and is
+    Horn, so every OMQ over it evaluates in PTIME (materializable ⇔
+    unravelling tolerant ⇔ PTIME inside a DICHOTOMY band; Horn gives
+    materializability statically).  ``hard`` — no static PTIME proof:
+    the workload may contain coNP-hard OMQs.  The ``auto`` fast-path gate
+    refuses with *detail* unless the band is ``ptime``, and the serving
+    daemon's admission control sheds ``hard`` work first.  Memoized by
+    content fingerprint; the Horn check reads the conversion cache.
+    """
+    key = fingerprint_ontology(onto)
+    hit = _band_cache.get(key)
+    if hit is not None:
+        return hit
+    from ..core.dichotomy import Status, classify_profile
+    from ..guarded.fragments import profile_ontology
+
+    _, status = classify_profile(profile_ontology(onto))
+    if status is not Status.DICHOTOMY:
+        verdict = (BAND_HARD,
+                   f"profiles outside the DICHOTOMY band ({status.name})")
+    else:
+        rules = convert_ontology_cached(onto)
+        if rules is None or any(rule.is_disjunctive() for rule in rules):
+            verdict = (BAND_HARD,
+                       "DICHOTOMY band but not Horn: no static PTIME proof")
+        else:
+            verdict = (BAND_PTIME, "DICHOTOMY band + Horn: statically PTIME")
+    _band_cache.put(key, verdict)
+    return verdict
 
 
 # -- compilation -------------------------------------------------------------
@@ -306,7 +320,9 @@ _plan_cache = LRUCache(maxsize=64)
 
 
 def clear_plan_cache() -> None:
+    """Drop the memoized plans and the memoized static bands."""
     _plan_cache.clear()
+    _band_cache.clear()
 
 
 def plan_cache_stats() -> dict[str, int | float]:
@@ -318,25 +334,17 @@ def compile_omq(
     query: CQ | UCQ | str,
     backend: Backend = "auto",
     preflight: bool = False,
-    classify: bool = False,
     chase_depth: int = 6,
     sat_extra: int = 3,
-    answer_cache: AnswerCache | str | None = None,
     fastpath: str = "off",
 ) -> CompiledOMQ:
     """Compile (or fetch the memoized plan for) one OMQ.
 
     With ``preflight=True`` the ontology and query are linted and an
     error-level diagnostic raises :class:`repro.analysis.LintError` here —
-    per-instance evaluation then needs no further static checks.  A plan
-    fetched from the memo starts each caller with a *fresh* metrics
-    registry (a shared plan must not leak one caller's latency histograms
-    into another's report); likewise the *answer_cache* argument
-    (including ``None``) replaces the memoized plan's cache handle.
-    *answer_cache* also accepts a storage-backend URI string
-    (``dir:PATH``, ``sqlite:PATH``, ``shard:PATH?shards=N``): it is
-    opened via :func:`repro.storage.base.open_backend` and wrapped in a
-    fresh :class:`AnswerCache`, which the returned plan then owns.
+    per-instance evaluation then needs no further static checks.  The
+    memoized plan is shared by every caller and never mutated on a memo
+    hit; an answer cache is passed to :meth:`CompiledOMQ.evaluate`.
 
     *fastpath* gates the ``datalog-fastpath`` plan kind (see the module
     docstring): ``"off"`` (default — on the example ontologies the type
@@ -350,10 +358,6 @@ def compile_omq(
     """
     if fastpath not in ("off", "auto", "force"):
         raise ValueError(f"fastpath must be off/auto/force, got {fastpath!r}")
-    if isinstance(answer_cache, str):
-        from ..storage.base import open_backend
-
-        answer_cache = AnswerCache(backend=open_backend(answer_cache))
     with current_tracer().span("plan.compile", backend=str(backend)) as span:
         if isinstance(query, str):
             if preflight:
@@ -369,18 +373,9 @@ def compile_omq(
         query_fp = fingerprint_query(query)
         memo_key = AnswerCache.key(
             onto_fp, query_fp,
-            f"{backend}|{preflight}|{classify}|{chase_depth}|{sat_extra}"
-            f"|{fastpath}")
+            f"{backend}|{preflight}|{chase_depth}|{sat_extra}|{fastpath}")
         plan = _plan_cache.get(memo_key)
         if plan is not None:
-            # The caller's cache handle replaces the memoized plan's —
-            # including None: a caller expecting uncached evaluation (e.g. a
-            # cold benchmark) must not inherit a previous caller's warm
-            # cache.  The metrics registry is replaced for the same reason:
-            # a memo hit hands the caller warm *compilation*, not another
-            # caller's accumulated observations.
-            plan.answer_cache = answer_cache
-            plan.metrics = MetricsRegistry()
             span.set(memo_hit=True)
             return plan
 
@@ -390,12 +385,6 @@ def compile_omq(
         engine = CertainEngine(onto, backend=backend, chase_depth=chase_depth,
                                sat_extra=sat_extra, preflight=preflight,
                                rules=rules)
-        band: str | None = None
-        if classify:
-            from ..core.classify import classify_ontology
-
-            band = classify_ontology(onto, check_mat=False).band.name
-
         plan = CompiledOMQ(
             onto=onto,
             query=query,
@@ -404,8 +393,6 @@ def compile_omq(
             ontology_fingerprint=onto_fp,
             query_fingerprint=query_fp,
             fingerprint=fingerprint_omq(onto, query),
-            band=band,
-            answer_cache=answer_cache,
         )
         if fastpath != "off":
             _try_fastpath(plan, mode=fastpath)
@@ -422,11 +409,12 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
 
     1. the query is a unary rooted-acyclic CQ (the shape Theorem 5 and the
        program emission cover);
-    2. (``auto`` only) a static PTIME proof: the ontology profiles into a
-       Figure-1 DICHOTOMY fragment **and** is Horn — Horn ontologies are
-       materializable (the paper's Section 6 shortcut), and in a DICHOTOMY
-       band materializable == unravelling tolerant == PTIME, so the
-       rewriting is *exact*, not an over-approximation;
+    2. (``auto`` only) a static PTIME proof, :func:`classify_band`: the
+       ontology profiles into a Figure-1 DICHOTOMY fragment **and** is
+       Horn — Horn ontologies are materializable (the paper's Section 6
+       shortcut), and in a DICHOTOMY band materializable == unravelling
+       tolerant == PTIME, so the rewriting is *exact*, not an
+       over-approximation;
     3. the type rewriting is constructible and non-trivial — if every
        element type is query-positive the program under-reports elements
        that appear only outside the ontology signature, so the ladder keeps
@@ -448,19 +436,9 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
     if not query.is_rooted_acyclic():
         return refuse("fastpath needs a rooted acyclic query")
     if mode == "auto":
-        from ..core.dichotomy import Status, classify_profile
-        from ..core.materializability import is_horn
-        from ..guarded.fragments import profile_ontology
-
-        _, band_status = classify_profile(profile_ontology(plan.onto))
-        if band_status is not Status.DICHOTOMY:
-            return refuse(
-                f"ontology profiles outside the DICHOTOMY band "
-                f"({band_status.name}): no static PTIME proof")
-        if not is_horn(plan.onto):
-            return refuse(
-                "ontology is not Horn: materializability is not "
-                "statically evident, the ladder decides per instance")
+        band, detail = classify_band(plan.onto)
+        if band != BAND_PTIME:
+            return refuse(detail)
     from ..core.rewriting import TypeRewriting
 
     try:

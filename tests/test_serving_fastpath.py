@@ -1,12 +1,16 @@
 """The dichotomy-aware datalog fast path: gate decisions, ladder parity,
 path accounting in EvalResult / BatchReport, and budget behaviour."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.chaos.generate import WorkloadSpec, generate_workload
 from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.runtime import Budget
 from repro.serving import Job, clear_caches, compile_omq, evaluate_batch
+from repro.serving.plan import BAND_HARD, BAND_PTIME, classify_band
 
 PROP = ontology("forall x,y (R(x,y) -> (A(x) -> A(y)))", name="prop")
 PROP_Q = "q(x) <- A(x)"
@@ -140,20 +144,82 @@ class TestLadderParity:
         assert fast.evaluate(DATA).to_dict()["path"] == "fastpath"
 
 
+def _example(name):
+    path = Path(__file__).resolve().parents[1] / "examples" / "ontologies"
+    return ontology((path / f"{name}.gf").read_text(), name=name)
+
+
+def _chaos(seed, family, rate):
+    return generate_workload(WorkloadSpec(
+        seed=seed, family=family, jobs=5, instance_size=4, domain_size=3,
+        inconsistency_rate=rate)).ontology()
+
+
+BAND_CORPUS = {
+    "clinic": lambda: _example("clinic"),
+    "transport": lambda: _example("transport"),
+    "university": lambda: _example("university"),
+    "chaos-horn-1": lambda: _chaos(1, "horn", 0.0),
+    "chaos-horn-4": lambda: _chaos(4, "horn", 0.0),
+    "chaos-disjunctive-1": lambda: _chaos(1, "disjunctive", 0.3),
+    "chaos-disjunctive-6": lambda: _chaos(6, "disjunctive", 0.3),
+    "non-horn": lambda: NON_HORN,
+    "counting": lambda: ontology(
+        "forall x (A(x) -> exists>=2 y (R(x,y) & B(y)))\n"
+        "forall x,y (R(x,y) -> C(y))"),
+}
+
+
+class TestStaticProof:
+    """The ``auto`` gate's static step is :func:`classify_band`: it refuses
+    exactly the ``hard`` band, with the band's own detail."""
+
+    @pytest.mark.parametrize("name", sorted(BAND_CORPUS))
+    def test_gate_refusal_agrees_with_classify_band(self, name,
+                                                    monkeypatch):
+        import repro.core.rewriting as rewriting
+
+        class StopAfterStaticProof:
+            def __init__(self, *args, **kwargs):
+                raise ValueError("stopped after the static proof")
+
+        # The steps after the static proof are tested above; stopping here
+        # keeps the type enumeration out of this test.
+        monkeypatch.setattr(rewriting, "TypeRewriting", StopAfterStaticProof)
+        onto = BAND_CORPUS[name]()
+        unary = min(p for p, k in onto.sig().items() if k == 1)
+        plan = compile_omq(onto, f"q(x) <- {unary}(x)", fastpath="auto")
+        band, detail = classify_band(onto)
+        assert band in (BAND_PTIME, BAND_HARD)
+        assert plan.plan_kind == "ladder"
+        if band == BAND_HARD:
+            assert plan.fastpath_reason == detail
+        else:
+            assert plan.fastpath_reason == (
+                "type rewriting not constructible: "
+                "stopped after the static proof")
+
+    def test_corpus_covers_both_bands_and_both_hard_reasons(self):
+        verdicts = {classify_band(make()) for make in BAND_CORPUS.values()}
+        assert {band for band, _ in verdicts} == {BAND_PTIME, BAND_HARD}
+        details = {detail for band, detail in verdicts if band == BAND_HARD}
+        assert any("outside the DICHOTOMY band" in d for d in details)
+        assert any("not Horn" in d for d in details)
+
+
 class TestPathAccounting:
     def test_cache_hit_reports_cache_path(self):
         from repro.serving import AnswerCache
 
-        plan = compile_omq(PROP, PROP_Q, fastpath="auto",
-                           answer_cache=AnswerCache())
-        assert plan.evaluate(DATA).path == "fastpath"
-        assert plan.evaluate(DATA).path == "cache"
+        plan, cache = compile_omq(PROP, PROP_Q, fastpath="auto"), AnswerCache()
+        assert plan.evaluate(DATA, cache=cache).path == "fastpath"
+        assert plan.evaluate(DATA, cache=cache).path == "cache"
 
     def test_fastpath_metrics_counters(self):
         plan = compile_omq(PROP, PROP_Q, fastpath="auto")
-        plan.evaluate(DATA)
-        assert plan.metrics.counter("fastpath_evals").value == 1
-        assert plan.metrics.counter("engine_datalog").value == 1
+        result = plan.evaluate(DATA)
+        assert result.path == "fastpath"
+        assert result.outcome["engine"] == "datalog"
 
     def test_batch_counts_paths(self):
         jobs = [Job(query=PROP_Q, facts=("A(a)", "R(a,b)"), job_id="fast1"),

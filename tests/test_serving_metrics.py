@@ -1,4 +1,4 @@
-"""Metrics, file-store write errors, memo metric isolation and thread
+"""Metrics, file-store write errors, memo-hit isolation and thread
 safety of the process-global serving caches."""
 
 import threading
@@ -55,33 +55,7 @@ def test_empty_histogram_summary():
     assert Histogram("e").summary() == {"count": 0}
 
 
-# -- registry merge and raw shipping ------------------------------------------
-
-
-def test_registry_merge_sums_and_concatenates():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("hits").inc(2)
-    b.counter("hits").inc(3)
-    a.histogram("lat").observe(1.0)
-    b.histogram("lat").extend([2.0, 3.0])
-    a.merge(b)
-    assert a.counter("hits").value == 5
-    assert a.histogram("lat").summary()["count"] == 3
-
-
-def test_to_raw_merge_raw_preserves_exact_observations():
-    worker = MetricsRegistry()
-    worker.counter("engine_chase").inc(4)
-    worker.histogram("eval_seconds").extend([0.1, 0.2, 0.3, 0.4])
-    driver = MetricsRegistry()
-    driver.merge_raw(worker.to_raw())
-    driver.merge_raw(worker.to_raw())
-    assert driver.counter("engine_chase").value == 8
-    summary = driver.histogram("eval_seconds").summary()
-    assert summary["count"] == 8
-    # Raw observations (not summaries) crossed the boundary: percentiles
-    # over the merged population stay exact.
-    assert summary["p50"] == 0.2
+# -- thread safety ------------------------------------------------------------
 
 
 def test_counter_and_histogram_are_thread_safe():
@@ -115,19 +89,6 @@ def test_gauge_set_add_and_registry():
     reg.gauge("g").set(7.0)
     assert reg.gauge("g") is reg.gauge("g")
     assert reg.to_dict()["g"] == 7.0
-
-
-def test_gauge_merge_last_write_wins():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.gauge("depth").set(10.0)
-    b.gauge("depth").set(3.0)
-    a.merge(b)
-    assert a.gauge("depth").value == 3.0  # point-in-time: other's reading
-    a.counter("hits").inc(2)  # counters still sum
-    b2 = MetricsRegistry()
-    b2.merge_raw(a.to_raw())
-    assert b2.gauge("depth").value == 3.0
-    assert b2.counter("hits").value == 2
 
 
 def test_gauge_is_thread_safe():
@@ -232,46 +193,25 @@ def test_answer_cache_swallows_disk_write_errors(tmp_path):
     assert cache.stats()["backend"]["write_errors"] == 1
 
 
-# -- memo-hit metrics isolation (satellite bugfix) ----------------------------
+# -- memo-hit isolation -------------------------------------------------------
 
 
 def test_memo_hit_returns_fresh_metrics_registry(no_ambient_faults):
+    """A memo hit hands the caller the same warm plan; what one evaluation
+    observed (engine, path) comes back in its own result, never as state
+    on the shared plan that the next caller would inherit."""
     clear_caches()
     data = make_instance("Hand(h)")
     first = compile_omq(ONTO, QUERY)
-    first.evaluate(data)
-    assert first.metrics.counter("engine_chase").value == 1
-    assert first.metrics.counter("ladder_evals").value == 1
+    result = first.evaluate(data)
+    assert result.outcome["engine"] == "chase"
+    assert result.path == "ladder"
     second = compile_omq(ONTO, QUERY)
     assert second is first  # memoized plan object
-    # ... but the metrics registry is fresh: the previous caller's
-    # observations must not leak into the new caller's report.
-    assert second.metrics.counter("engine_chase").value == 0
-    assert second.metrics.counter("ladder_evals").value == 0
-    assert second.metrics.histogram("eval_seconds").summary() == {"count": 0}
-
-
-def test_cache_hits_observe_their_own_histogram():
-    clear_caches()
-    data = make_instance("Hand(h)")
-    plan = compile_omq(ONTO, QUERY, answer_cache=AnswerCache())
-    plan.evaluate(data)  # miss: engine runs
-    plan.evaluate(data)  # hit: lookup only
-    stats = plan.stats()
-    assert stats["answer_cache_hits"] == 1
-    assert stats["eval_seconds"]["count"] == 1  # engine latency only
-    assert stats["cache_hit_seconds"]["count"] == 1  # lookup latency apart
-
-
-def test_reset_metrics_detaches_the_registry(no_ambient_faults):
-    clear_caches()
-    plan = compile_omq(ONTO, QUERY)
-    plan.evaluate(make_instance("Hand(h)"))
-    snapshot = plan.reset_metrics()
-    assert snapshot.counter("engine_chase").value == 1
-    assert plan.metrics.counter("engine_chase").value == 0
-    assert snapshot.counter("ladder_evals").value == 1
-    assert plan.metrics.counter("ladder_evals").value == 0
+    assert not hasattr(second, "metrics")
+    again = second.evaluate(data)
+    assert again.outcome["engine"] == "chase"
+    assert again.path == "ladder"
 
 
 # -- thread safety of the process-global caches (REPRO_SANITIZE=1) ------------

@@ -52,12 +52,11 @@ class TestCompileMemo:
         assert p1 is not p2
 
     def test_describe_reports_compiled_facts(self):
-        plan = compile_omq(HAND, HAND_QUERY, classify=True)
+        plan = compile_omq(HAND, HAND_QUERY)
         d = plan.describe()
         assert d["backend"] == "chase"
         assert d["rules"] == 1
         assert d["arity"] == 1
-        assert d["band"] is not None
         assert d["fingerprint"] == plan.fingerprint
 
     def test_preflight_lint_rejects_broken_omq_at_compile_time(self):
@@ -68,17 +67,17 @@ class TestCompileMemo:
 
 class TestEvaluate:
     def test_cold_then_warm_are_identical(self):
-        plan = compile_omq(HAND, HAND_QUERY, answer_cache=AnswerCache())
-        cold = plan.evaluate(DATA)
-        warm = plan.evaluate(DATA)
+        plan, cache = compile_omq(HAND, HAND_QUERY), AnswerCache()
+        cold = plan.evaluate(DATA, cache=cache)
+        warm = plan.evaluate(DATA, cache=cache)
         assert not cold.cache_hit and warm.cache_hit
         assert cold.verdict == warm.verdict == "ok"
         assert cold.answers == warm.answers
         assert cold.definitive and warm.definitive
 
     def test_answers_match_fresh_engine(self):
-        plan = compile_omq(HAND, HAND_QUERY, answer_cache=AnswerCache())
-        got = plan.evaluate(DATA).answers
+        plan = compile_omq(HAND, HAND_QUERY)
+        got = plan.evaluate(DATA, cache=AnswerCache()).answers
         fresh = CertainEngine(HAND).certain_answers(DATA,
                                                     parse_cq(HAND_QUERY))
         expected = tuple(sorted(tuple(repr(e) for e in a) for a in fresh))
@@ -86,12 +85,12 @@ class TestEvaluate:
         assert got == (("h",),)
 
     def test_boolean_query_verdicts(self):
-        plan = compile_omq(HAND, "q() <- Hand(x)",
-                           answer_cache=AnswerCache())
-        assert plan.evaluate(DATA).verdict == "yes"
-        assert plan.evaluate(make_instance("Arm(a)")).verdict == "no"
+        plan, cache = compile_omq(HAND, "q() <- Hand(x)"), AnswerCache()
+        assert plan.evaluate(DATA, cache=cache).verdict == "yes"
+        assert plan.evaluate(make_instance("Arm(a)"),
+                             cache=cache).verdict == "no"
         # both verdicts land in the cache
-        assert plan.evaluate(DATA).cache_hit
+        assert plan.evaluate(DATA, cache=cache).cache_hit
 
     def test_entails_passthrough(self):
         plan = compile_omq(HAND, HAND_QUERY)
@@ -104,44 +103,66 @@ class TestEvaluate:
         assert r1.answers == r2.answers
         assert not r1.cache_hit and not r2.cache_hit
 
-    def test_memo_hit_without_cache_does_not_inherit_warm_cache(self):
-        warm = compile_omq(HAND, HAND_QUERY, answer_cache=AnswerCache())
-        assert warm.evaluate(DATA).cache_hit is False
-        assert warm.evaluate(DATA).cache_hit is True
-        # A caller asking for uncached evaluation (e.g. a cold benchmark)
-        # must not silently get the previous caller's cached answers.
-        cold = compile_omq(HAND, HAND_QUERY)
-        assert cold is warm and cold.answer_cache is None
-        assert cold.evaluate(DATA).cache_hit is False
-
     def test_metrics_accumulate(self):
-        plan = compile_omq(HAND, HAND_QUERY, answer_cache=AnswerCache())
-        plan.evaluate(DATA)
-        plan.evaluate(DATA)
-        stats = plan.stats()
-        assert stats["answer_cache_misses"] == 1
-        assert stats["answer_cache_hits"] == 1
-        assert stats["answer_cache"]["memory"]["hits"] == 1
-        assert stats["eval_seconds"]["count"] == 1  # only the engine run
+        plan, cache = compile_omq(HAND, HAND_QUERY), AnswerCache()
+        first = plan.evaluate(DATA, cache=cache)
+        second = plan.evaluate(DATA, cache=cache)
+        assert (first.path, second.path) == ("ladder", "cache")
+        memory = cache.stats()["memory"]
+        assert memory["misses"] == 1  # only the engine run
+        assert memory["hits"] == 1
+        assert memory["size"] == 1
+
+
+class TestSharedPlan:
+    """The memoized plan is shared: per-caller state never lives on it."""
+
+    def test_two_callers_share_one_plan_with_their_own_caches(self):
+        mine, theirs = AnswerCache(), AnswerCache()
+        p1 = compile_omq(HAND, HAND_QUERY)
+        p2 = compile_omq(HAND, HAND_QUERY)
+        assert p1 is p2
+        other = make_instance("Hand(g)")
+        assert not p1.evaluate(DATA, cache=mine).cache_hit
+        assert not p2.evaluate(other, cache=theirs).cache_hit
+        # Each evaluate read and wrote only the cache passed to it.
+        assert len(mine.memory) == len(theirs.memory) == 1
+        assert not p2.evaluate(DATA, cache=theirs).cache_hit
+        assert not p1.evaluate(other, cache=mine).cache_hit
+        assert len(mine.memory) == len(theirs.memory) == 2
+        # Later compiles of the same OMQ, with or without a cache of their
+        # own, change nothing either caller sees.
+        assert compile_omq(HAND, HAND_QUERY) is p1
+        third = AnswerCache()
+        assert compile_omq(HAND, parse_cq(HAND_QUERY)).evaluate(
+            DATA, cache=third).cache_hit is False
+        assert p1.evaluate(DATA, cache=mine).cache_hit
+        assert p2.evaluate(other, cache=theirs).cache_hit
+        assert len(mine.memory) == len(theirs.memory) == 2
+        assert len(third.memory) == 1
+        # A caller asking for uncached evaluation (e.g. a cold benchmark)
+        # never gets another caller's cached answers.
+        assert p1.evaluate(DATA).cache_hit is False
+        assert not hasattr(p1, "answer_cache")
 
 
 class TestUnknownResults:
     def test_exhausted_budget_yields_unknown_and_is_not_cached(
             self, no_ambient_faults):
         cache = AnswerCache()
-        plan = compile_omq(HAND, HAND_QUERY, answer_cache=cache)
+        plan = compile_omq(HAND, HAND_QUERY)
         starved = Budget(faults=FaultPlan([FaultSpec("deadline", at=1)]),
                          escalate=False)
-        out = plan.evaluate(DATA, budget=starved)
+        out = plan.evaluate(DATA, budget=starved, cache=cache)
         assert out.verdict == "unknown"
         assert not out.definitive
         assert out.outcome["verdict"] == "unknown"
         assert "deadline" in out.outcome["reason"]
         assert len(cache.memory) == 0  # non-definitive: never cached
         # a healthy retry on the same plan now succeeds and caches
-        retry = plan.evaluate(DATA)
+        retry = plan.evaluate(DATA, cache=cache)
         assert retry.verdict == "ok" and not retry.cache_hit
-        assert plan.evaluate(DATA).cache_hit
+        assert plan.evaluate(DATA, cache=cache).cache_hit
 
 
 class TestUnderFaultInjection:
@@ -152,19 +173,19 @@ class TestUnderFaultInjection:
         monkeypatch.setattr(faults, "_cache", None)
         monkeypatch.setenv("REPRO_FAULTS", "chase_truncate")
         plan = compile_omq(NON_HORN,
-                           "q(x) <- Heads(x) ; q(x) <- Tails(x)",
-                           answer_cache=AnswerCache())
+                           "q(x) <- Heads(x) ; q(x) <- Tails(x)")
+        cache = AnswerCache()
         data = make_instance("Coin(c)")
-        cold = plan.evaluate(data, budget=Budget(timeout=60))
-        warm = plan.evaluate(data, budget=Budget(timeout=60))
+        cold = plan.evaluate(data, budget=Budget(timeout=60), cache=cache)
+        warm = plan.evaluate(data, budget=Budget(timeout=60), cache=cache)
         assert warm.cache_hit
         assert cold.verdict == warm.verdict == "ok"
         assert cold.answers == warm.answers == (("c",),)
 
     def test_budget_carried_fault_plan_converges(self, no_ambient_faults):
-        plan = compile_omq(HAND, HAND_QUERY, answer_cache=AnswerCache())
+        plan = compile_omq(HAND, HAND_QUERY)
         budget = Budget(timeout=60,
                         faults=FaultPlan([FaultSpec("chase_truncate")]))
-        out = plan.evaluate(DATA, budget=budget)
+        out = plan.evaluate(DATA, budget=budget, cache=AnswerCache())
         assert out.verdict == "ok"
         assert out.answers == (("h",),)

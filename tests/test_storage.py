@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.obs import Tracer
 from repro.serving import AnswerCache, Job, clear_caches, evaluate_batch
@@ -491,11 +492,18 @@ JOBS = [Job(query="q(x) <- Hand(x)", facts=("Hand(h)", "Arm(a)"), job_id="a"),
 
 class TestServingWiring:
     def test_compile_omq_accepts_backend_uri(self, tmp_path):
-        plan = compile_omq(ONTO, "q(x) <- Hand(x)",
-                           answer_cache=f"sqlite:{tmp_path}/c.db")
-        assert isinstance(plan.answer_cache, AnswerCache)
-        assert plan.answer_cache.backend.scheme == "sqlite"
-        plan.answer_cache.backend.close()
+        # A plan takes its answer cache per evaluate call; a backend URI
+        # becomes a cache through open_backend, and its owner closes it.
+        plan = compile_omq(ONTO, "q(x) <- Hand(x)")
+        data = make_instance("Hand(h)", "Arm(a)")
+        uri = f"sqlite:{tmp_path}/c.db"
+        with open_backend(uri) as backend:
+            assert backend.scheme == "sqlite"
+            cold = plan.evaluate(data, cache=AnswerCache(backend=backend))
+        with open_backend(uri) as backend:
+            hit = plan.evaluate(data, cache=AnswerCache(backend=backend))
+        assert not cold.cache_hit and hit.cache_hit
+        assert hit.answers == cold.answers == (("h",),)
 
     @pytest.mark.parametrize("uri_kind", BACKENDS)
     def test_evaluate_batch_cache_backend(self, uri_kind, tmp_path):
