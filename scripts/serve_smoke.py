@@ -4,7 +4,8 @@ Starts ``repro serve`` as a real subprocess with a journal, submits the
 example smoke workload (``examples/workloads/smoke.json`` over
 ``examples/ontologies/clinic.gf``) through the HTTP API, polls it to
 completion, checks the report verdicts against the known-good answers,
-scrapes ``/metrics``, then sends SIGTERM and asserts the daemon drains
+scrapes ``/metrics``, sends one client's burst of job sets that must all
+be admitted and finish, then sends SIGTERM and asserts the daemon drains
 cleanly (exit 0) with every finished job journaled.
 
 Run from the repo root::
@@ -33,6 +34,12 @@ EXPECTED_VERDICTS = {
     "open-clinicians": "ok",
 }
 
+# The burst: BURST_JOBSETS job sets of the first BURST_JOBS smoke jobs,
+# sent back to back under one X-Client.  120 jobs stay below the default
+# high-water mark (128 of 256 queued jobs), so admission may refuse none.
+BURST_JOBSETS = 30
+BURST_JOBS = 4
+
 
 def fail(msg: str) -> "None":
     print(f"SERVE SMOKE FAILURE: {msg}", file=sys.stderr)
@@ -54,6 +61,19 @@ def request(port: int, method: str, path: str, body=None):
             return resp.status, raw.decode("utf-8", "replace")
     finally:
         conn.close()
+
+
+def wait_result(port: int, jobset_id: str) -> dict:
+    """Poll a job set until it is terminal; returns its result body."""
+    deadline = time.monotonic() + 120
+    while True:
+        status, result = request(
+            port, "GET", f"/v1/jobsets/{jobset_id}/result")
+        if status == 200:
+            return result
+        if time.monotonic() > deadline:
+            fail(f"jobset {jobset_id} did not finish: {status} {result}")
+        time.sleep(0.2)
 
 
 def main() -> int:
@@ -96,15 +116,7 @@ def main() -> int:
         jobset_id = body["id"]
         print(f"accepted {jobset_id} (band={body['band']})")
 
-        deadline = time.monotonic() + 120
-        while True:
-            status, result = request(
-                port, "GET", f"/v1/jobsets/{jobset_id}/result")
-            if status == 200:
-                break
-            if time.monotonic() > deadline:
-                fail(f"jobset did not finish: {status} {result}")
-            time.sleep(0.2)
+        result = wait_result(port, jobset_id)
         if result["status"] != "done":
             fail(f"jobset finished {result['status']}: "
                  f"{result.get('error')}")
@@ -125,6 +137,33 @@ def main() -> int:
                 fail(f"/metrics missing {needle!r}:\n{text}")
         print("metrics scrape ok")
 
+        burst = jobs[:BURST_JOBS]
+        ids = []
+        for n in range(BURST_JOBSETS):
+            status, body = request(port, "POST", "/v1/jobsets",
+                                   {"ontology": ontology_text, "jobs": burst})
+            if status != 202:
+                fail(f"burst submission {n + 1} refused: {status} {body}")
+            ids.append(body["id"])
+        for burst_id in ids:
+            result = wait_result(port, burst_id)
+            if result["status"] != "done":
+                fail(f"burst jobset {burst_id} finished {result['status']}: "
+                     f"{result.get('error')}")
+            verdicts = {job["id"]: job["verdict"]
+                        for job in result["report"]["jobs"]}
+            expected = {job["id"]: EXPECTED_VERDICTS[job["id"]]
+                        for job in burst}
+            if verdicts != expected:
+                fail(f"burst verdicts {verdicts} != expected {expected}")
+        status, text = request(port, "GET", "/metrics")
+        lines = text.splitlines() if status == 200 else []
+        for kind in ("draining", "queue_full", "hard_band"):
+            if f"repro_server_shed_{kind} 0" not in lines:
+                fail(f"/metrics: repro_server_shed_{kind} is not 0:\n{text}")
+        print(f"one-client burst ok ({BURST_JOBSETS} job sets, "
+              f"{BURST_JOBSETS * len(burst)} jobs, none shed)")
+
         proc.send_signal(signal.SIGTERM)
         try:
             proc.wait(timeout=90)
@@ -141,9 +180,10 @@ def main() -> int:
         with open(journal) as fh:
             records = [json.loads(ln) for ln in fh if ln.strip()]
         results = [r for r in records if r.get("kind") == "job-result"]
-        if len(results) != len(jobs):
+        expected = len(jobs) + BURST_JOBSETS * BURST_JOBS
+        if len(results) != expected:
             fail(f"journal has {len(results)} job-results, "
-                 f"expected {len(jobs)}")
+                 f"expected {expected}")
         print(f"journal ok ({len(results)} job-results)")
     finally:
         if proc.poll() is None:

@@ -16,9 +16,12 @@ The invariants, in the order an episode typically applies them:
    resume-after-kill, fastpath on/off, concurrent drivers) are compared
    via :func:`~repro.serving.batch.comparable_report`, which strips the
    volatile fields (latency, engine provenance) and keeps the answers.
-3. **UNKNOWN never cached** — a non-definitive verdict is a budget
-   artifact; finding one in a durable tier means a starved run became
-   infectious.  Checked by scanning and re-reading every entry.
+3. **Only definitive results cached** — an ``UNKNOWN`` verdict is a
+   budget artifact and a bound-relative answer depends on a bound the
+   key leaves out; finding either in a durable tier means one run's
+   artifact became every later caller's answer.  Checked by scanning and
+   re-reading every entry through
+   :func:`~repro.storage.base.check_storable`.
 4. **Backend integrity** — ``verify()`` returns no corrupt keys once
    the fault schedule is over and the read path has had its chance to
    evict (torn writes may legitimately leave corruption *between* runs).
@@ -30,7 +33,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..serving.batch import comparable_report
-from ..storage import backend_exists, open_backend
+from ..storage import (
+    UnstorableValue, backend_exists, check_storable, open_backend,
+)
 
 __all__ = [
     "Violation", "check_backend_clean", "check_job_accounting",
@@ -136,12 +141,12 @@ def check_no_unknown_cached(backend_uri: str) -> list[Violation]:
     out: list[Violation] = []
     with open_backend(backend_uri) as backend:
         for entry in backend.scan():
-            value = backend.get(entry.key)
-            if isinstance(value, dict) and value.get("verdict") == "unknown":
+            try:
+                check_storable(backend.get(entry.key))
+            except UnstorableValue as exc:
                 out.append(Violation(
                     "no-unknown-cached",
-                    f"{backend_uri}: entry {entry.key} holds an UNKNOWN "
-                    f"result"))
+                    f"{backend_uri}: entry {entry.key}: {exc}"))
     return out
 
 

@@ -82,6 +82,7 @@ from .obs import NULL_TRACER, Tracer
 from .queries.cq import QueryError, parse_cq, parse_ucq
 from .runtime import Budget, ResourceExhausted
 from .semantics.certain import CertainEngine
+from .serving.plan import FASTPATH_MODES
 
 
 class CliInputError(Exception):
@@ -394,7 +395,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_backend=cache_backend,
             backend=args.backend, fastpath=args.fastpath, retry=retry,
             max_queued_jobs=args.max_queue, high_water=args.high_water,
-            rate=args.rate, burst=args.burst,
             wedge_timeout=args.wedge_timeout)
     except StorageError as exc:
         raise CliInputError(str(exc)) from exc
@@ -811,13 +811,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay results already in --journal FILE "
                               "instead of recomputing them")
     add_cache_args(p_batch)
-    p_batch.add_argument("--fastpath", choices=["off", "auto", "force"],
+    p_batch.add_argument("--fastpath", choices=FASTPATH_MODES,
                          default="off",
                          help="compile statically-verified datalog-fastpath "
                               "plans for PTIME-classified OMQs (auto: gate "
-                              "on the Figure-1 DICHOTOMY band + Horn; "
-                              "force: skip the classification — testing "
-                              "only)")
+                              "on the Figure-1 DICHOTOMY band + Horn)")
     add_budget_args(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 
@@ -841,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_args(p_serve)
     p_serve.add_argument("--backend", choices=["auto", "chase", "sat"],
                          default="auto")
-    p_serve.add_argument("--fastpath", choices=["off", "auto", "force"],
+    p_serve.add_argument("--fastpath", choices=FASTPATH_MODES,
                          default="auto",
                          help="datalog-fastpath plans for PTIME-classified "
                               "OMQs (default auto — the daemon serves "
@@ -858,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(potentially-coNP) submissions are shed "
                               "while PTIME-band traffic still flows "
                               "(default 0.5)")
-    p_serve.add_argument("--rate", type=float, default=50.0, metavar="JOBS/S",
-                         help="per-client token-bucket refill rate "
-                              "(default 50 jobs/s)")
-    p_serve.add_argument("--burst", type=float, default=100.0, metavar="JOBS",
-                         help="per-client token-bucket capacity "
-                              "(default 100 jobs)")
     p_serve.add_argument("--drain-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="give up the graceful drain after this long "

@@ -10,8 +10,9 @@ graceful SIGTERM drain, a watchdog for wedged worker pools, and a
 crash-safe journal so a SIGKILLed daemon restarted with ``--journal
 --resume`` serves the same final reports.
 
-* :mod:`~repro.server.admission` — :class:`TokenBucket`,
-  :class:`AdmissionController` (re-exported here with
+* :mod:`~repro.server.admission` — :class:`AdmissionController`, which
+  refuses only while draining, on a full queue, or hard-band work above
+  high water (re-exported here with
   :func:`~repro.serving.plan.classify_band`, the static band it sheds by);
 * :mod:`~repro.server.state` — :class:`JobSet`, :class:`JobSetStore`;
 * :mod:`~repro.server.daemon` — :class:`ReproServer`, the HTTP transport.
@@ -21,13 +22,13 @@ admission/backpressure/drain state diagram.
 """
 
 from ..serving.plan import BAND_HARD, BAND_PTIME, classify_band
-from .admission import AdmissionController, ClientAccount, Decision, TokenBucket
+from .admission import AdmissionController, ClientAccount, Decision
 from .daemon import ReproServer, RequestError
 from .state import JobSet, JobSetStore
 
 __all__ = [
     "BAND_HARD", "BAND_PTIME", "AdmissionController", "ClientAccount",
-    "Decision", "TokenBucket", "classify_band",
+    "Decision", "classify_band",
     "ReproServer", "RequestError",
     "JobSet", "JobSetStore",
 ]

@@ -14,64 +14,32 @@ shed with 429 while *ptime*-band traffic keeps flowing until the queue
 is truly full.  Collapse is never an option — the queue is bounded, so
 memory stays bounded no matter how fast clients submit.
 
-The other two admission layers are classic: a per-client
-:class:`TokenBucket` (rate + burst, with an exact ``Retry-After`` hint)
-and a per-client in-flight cap, both accounted in
-:class:`ClientAccount` so ``/metrics`` can show who is consuming what.
+Those are the only limits: a submission is refused while the daemon
+drains, when the queue cannot hold it, or above high water when it is
+hard-band.  Per-client figures (:class:`ClientAccount`) are accounting
+for ``/metrics`` and ``GET /v1/jobsets``, not quotas — the ``X-Client``
+header they key on is the client's own choice.
 
-Everything is thread-safe (one lock per controller) and clock-injectable
-for deterministic tests.
+Everything is thread-safe (one lock per controller).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..serving.plan import BAND_PTIME
 
-
-class TokenBucket:
-    """A classic token bucket: *rate* tokens/second, capacity *burst*.
-
-    ``try_acquire(n)`` returns ``0.0`` on success or the number of
-    seconds after which *n* tokens will be available (the exact
-    ``Retry-After`` hint).  Not internally locked — the controller's
-    lock covers it.
-    """
-
-    def __init__(self, rate: float, burst: float,
-                 clock: Any = time.monotonic):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.rate = rate
-        self.burst = burst
-        self._clock = clock
-        self._tokens = burst
-        self._last = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(self.burst,
-                           self._tokens + (now - self._last) * self.rate)
-        self._last = now
-
-    def try_acquire(self, tokens: float = 1.0) -> float:
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return 0.0
-        return (tokens - self._tokens) / self.rate
+#: The ``Retry-After`` hint, in seconds, of every shed submission.
+RETRY_AFTER = 1.0
 
 
 @dataclass
 class ClientAccount:
-    """Per-client admission state and resource accounting."""
+    """Per-client resource accounting."""
 
     name: str
-    bucket: TokenBucket
     inflight_jobs: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -114,62 +82,41 @@ class AdmissionController:
     a thousand-job submission weighs a thousand times a one-job probe.
     The shedding ladder, cheapest signal first:
 
-    1. **draining** — 503 + ``Retry-After``: the daemon is going away;
-    2. **rate limit** — the client's token bucket is empty: 429 with the
-       exact refill time;
-    3. **per-client cap** — the client already has ``max_inflight_jobs``
-       jobs in the system: 429 (one tenant cannot starve the rest);
-    4. **queue full** — admitting would exceed ``max_queued_jobs``: 429;
-    5. **high water** — the queue is above ``high_water`` of capacity
+    1. **draining** — 503: the daemon is going away;
+    2. **queue full** — admitting would exceed ``max_queued_jobs``: 429;
+    3. **high water** — the queue is above ``high_water`` of capacity
        and the submission is *hard*-band: 429.  PTIME-band work keeps
        being admitted until the queue is truly full — graceful
        degradation, not collapse.
+
+    Every refusal carries ``Retry-After`` :data:`RETRY_AFTER`.
     """
 
-    def __init__(
-        self,
-        max_queued_jobs: int = 256,
-        high_water: float = 0.5,
-        rate: float = 50.0,
-        burst: float = 100.0,
-        max_inflight_jobs: int = 1024,
-        retry_after: float = 1.0,
-        clock: Any = time.monotonic,
-    ):
+    def __init__(self, max_queued_jobs: int = 256, high_water: float = 0.5):
         if max_queued_jobs < 1:
             raise ValueError("max_queued_jobs must be >= 1")
         if not 0.0 < high_water <= 1.0:
             raise ValueError("high_water must be in (0, 1]")
         self.max_queued_jobs = max_queued_jobs
         self.high_water = high_water
-        self.rate = rate
-        self.burst = burst
-        self.max_inflight_jobs = max_inflight_jobs
-        self.retry_after = retry_after
-        self._clock = clock
         self._lock = threading.Lock()
         self.queued_jobs = 0
         self.draining = False
         self.clients: dict[str, ClientAccount] = {}
         self.shed: dict[str, int] = {
-            "draining": 0, "rate_limit": 0, "client_cap": 0,
-            "queue_full": 0, "hard_band": 0}
+            "draining": 0, "queue_full": 0, "hard_band": 0}
 
     def _client(self, name: str) -> ClientAccount:
         account = self.clients.get(name)
         if account is None:
-            account = ClientAccount(
-                name, TokenBucket(self.rate, self.burst, self._clock))
-            self.clients[name] = account
+            account = self.clients[name] = ClientAccount(name)
         return account
 
     def _shed(self, account: ClientAccount, kind: str, status: int,
-              reason: str, retry_after: float | None = None) -> Decision:
+              reason: str) -> Decision:
         self.shed[kind] += 1
         account.rejected += 1
-        return Decision(False, status, reason,
-                        self.retry_after if retry_after is None
-                        else retry_after)
+        return Decision(False, status, reason, RETRY_AFTER)
 
     def admit(self, client: str, jobs: int, band: str) -> Decision:
         """Admit or shed a submission of *jobs* jobs in *band*."""
@@ -181,18 +128,6 @@ class AdmissionController:
                 return self._shed(
                     account, "draining", 503,
                     "daemon is draining; resubmit to its successor")
-            wait = account.bucket.try_acquire(float(jobs))
-            if wait > 0:
-                return self._shed(
-                    account, "rate_limit", 429,
-                    f"client {client!r} exceeded its request rate",
-                    retry_after=wait)
-            if account.inflight_jobs + jobs > self.max_inflight_jobs:
-                return self._shed(
-                    account, "client_cap", 429,
-                    f"client {client!r} already has "
-                    f"{account.inflight_jobs} job(s) in flight "
-                    f"(cap {self.max_inflight_jobs})")
             after = self.queued_jobs + jobs
             if after > self.max_queued_jobs:
                 return self._shed(
@@ -214,7 +149,7 @@ class AdmissionController:
     def adopt(self, client: str, jobs: int) -> None:
         """Account capacity for a submission admitted in a previous life
         (journal resume): it was already accepted once, so it re-enters
-        the queue unconditionally — no rate/band checks apply."""
+        the queue unconditionally — no capacity or band checks apply."""
         with self._lock:
             account = self._client(client)
             self.queued_jobs += jobs

@@ -53,8 +53,8 @@ from ..serving.cache import AnswerCache, conversion_cache_stats
 from ..storage.base import open_backend
 from ..serving.fingerprint import fingerprint_ontology
 from ..serving.metrics import MetricsRegistry, render_prometheus
-from ..serving.plan import classify_band, plan_cache_stats
-from .admission import AdmissionController
+from ..serving.plan import FASTPATH_MODES, classify_band, plan_cache_stats
+from .admission import RETRY_AFTER, AdmissionController
 from .state import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobSet, JobSetStore,
 )
@@ -99,9 +99,6 @@ class ReproServer:
         retry: RetryPolicy | None = None,
         max_queued_jobs: int = 256,
         high_water: float = 0.5,
-        rate: float = 50.0,
-        burst: float = 100.0,
-        max_inflight_jobs: int = 1024,
         wedge_timeout: float = 60.0,
         watchdog_interval: float = 1.0,
         clock: Any = time.monotonic,
@@ -114,6 +111,10 @@ class ReproServer:
         # One durable-tier URI for both the daemon's own AnswerCache and
         # the worker processes (each opens its own handle on it).
         self.cache_uri = cache_backend
+        if fastpath not in FASTPATH_MODES:
+            raise ValueError(f"fastpath must be "
+                             f"{' or '.join(FASTPATH_MODES)}, "
+                             f"got {fastpath!r}")
         self.defaults = {"backend": backend, "fastpath": fastpath,
                          "preflight": preflight}
         self.retry = retry
@@ -123,9 +124,7 @@ class ReproServer:
 
         self.store = JobSetStore()
         self.admission = AdmissionController(
-            max_queued_jobs=max_queued_jobs, high_water=high_water,
-            rate=rate, burst=burst, max_inflight_jobs=max_inflight_jobs,
-            clock=clock)
+            max_queued_jobs=max_queued_jobs, high_water=high_water)
         self.metrics = MetricsRegistry()
         self.answer_cache = AnswerCache(
             backend=open_backend(self.cache_uri) if self.cache_uri else None)
@@ -221,14 +220,27 @@ class ReproServer:
 
     def _resume_from_journal(self) -> None:
         """Re-create every journaled job set; finished jobs replay, the
-        interrupted suffix recomputes.  Submission order is preserved."""
+        interrupted suffix recomputes.  Submission order is preserved.  A
+        job set journaled with ``fastpath: force`` (no longer accepted)
+        recomputes in full under ``auto``."""
         assert self.journal is not None
         pending: list[JobSet] = []
         by_id: dict[str, JobSet] = {}
+        rerun: set[str] = set()
         for record in self.journal.replayed:
             kind = record.get("kind")
             if kind == "jobset":
                 payload = record.get("payload", {})
+                options = (payload.get("options")
+                           if isinstance(payload, dict) else None)
+                if (isinstance(options, dict)
+                        and options.get("fastpath") == "force"):
+                    # An older daemon accepted "force", which skipped the
+                    # static PTIME proof: the whole job set runs again
+                    # under "auto" rather than replay what force answered.
+                    payload = {**payload,
+                               "options": {**options, "fastpath": "auto"}}
+                    rerun.add(record.get("id"))
                 try:
                     jobset = self._build_jobset(
                         payload, jobset_id=record["id"],
@@ -245,7 +257,8 @@ class ReproServer:
                 by_id[jobset.id] = jobset
             elif kind == "job-result":
                 jobset = by_id.get(record.get("jobset", ""))
-                if jobset is not None and "key" in record:
+                if (jobset is not None and "key" in record
+                        and jobset.id not in rerun):
                     jobset.resume_results[record["key"]] = record["result"]
             elif kind == "jobset-cancelled":
                 jobset = by_id.get(record.get("jobset", ""))
@@ -290,6 +303,11 @@ class ReproServer:
                     f"unknown option {key!r} (allowed: "
                     f"{', '.join(_ALLOWED_OPTIONS)})")
         options.update(extra)
+        fastpath = options.get("fastpath")
+        if fastpath not in FASTPATH_MODES:
+            raise RequestError(f"options.fastpath must be "
+                               f"{' or '.join(FASTPATH_MODES)}, "
+                               f"got {fastpath!r}")
         if "budget" in options:
             try:
                 Budget.from_spec(str(options["budget"]))
@@ -353,6 +371,7 @@ class ReproServer:
                 return 409, {"error": f"job set is {jobset.status}; only "
                                       f"queued job sets can be cancelled"}
             jobset.status = CANCELLED
+            jobset.onto = None
             try:
                 self._queue.remove(jobset)
             except ValueError:
@@ -454,6 +473,9 @@ class ReproServer:
         self._finish(jobset)
 
     def _finish(self, jobset: JobSet) -> None:
+        # Nothing reads the parsed ontology after the run; the store keeps
+        # the job set (and its report) for the daemon's life.
+        jobset.onto = None
         jobset.finished = self._clock()
         elapsed = jobset.finished - (jobset.started or jobset.finished)
         self.metrics.histogram("server.jobset_seconds").observe(elapsed)
@@ -665,7 +687,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/readyz":
             if daemon.draining:
                 self._send_json(503, {"status": "draining",
-                                      "retry_after": 1.0})
+                                      "retry_after": RETRY_AFTER})
             else:
                 self._send_json(200, {"status": "ready"})
         elif path == "/metrics":

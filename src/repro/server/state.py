@@ -42,7 +42,7 @@ class JobSet:
     client: str
     band: str
     band_detail: str
-    onto: Ontology
+    onto: Ontology | None  # released (None) once the job set finishes
     jobs: list[Job]
     payload: dict[str, Any]  # the journalable raw submission body
     options: dict[str, Any] = field(default_factory=dict)

@@ -593,7 +593,7 @@ def evaluate_batch(
     reports whether any process's write circuit breaker tripped during
     the batch (also logged once as a ``storage.breaker`` span).
 
-    *fastpath* (``off``/``auto``/``force``) is forwarded to
+    *fastpath* (``off`` or ``auto``) is forwarded to
     :func:`~repro.serving.plan.compile_omq`; jobs whose plan upgraded to
     ``datalog-fastpath`` record ``path="fastpath"`` in their results and
     the report counts paths under ``stats["paths"]``.

@@ -16,9 +16,10 @@ Three layers, all keyed by the stable fingerprints of
   ``shard:``), so repeated CLI invocations and worker processes hit warm
   certain-answer results.
 
-Cached values are plain JSON-able dictionaries; the cache never stores
-non-definitive (``UNKNOWN``) outcomes, so a budget-starved run can be
-retried with a bigger budget and a warm plan.
+Cached values are plain JSON-able dictionaries of definitive results
+only: never an ``UNKNOWN`` outcome, so a budget-starved run can be
+retried with a bigger budget and a warm plan, and never a bound-relative
+answer, whose bound the key leaves out.
 """
 
 from __future__ import annotations

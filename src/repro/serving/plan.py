@@ -18,8 +18,11 @@ same warm plan.  A plan therefore holds only what the ontology, the query
 and the compile options determine: per-caller state stays with the
 caller.  ``CompiledOMQ.evaluate`` consults the
 :class:`~repro.serving.cache.AnswerCache` passed to that call, if any,
-before running the engine and never caches non-definitive (``UNKNOWN``)
-results.
+before running the engine, and caches only definitive results: never
+``UNKNOWN``, and never an answer the engine could give only relative to
+a bound (a SAT search over dom(D) plus a few nulls).  A cached value is
+then a fact about (O, q, D) under any compile options, which its key
+leaves out.
 
 **The dichotomy-aware fast path.**  With ``fastpath="auto"`` the compiler
 additionally tries to *prove* the plan can skip the escalation ladder:
@@ -58,6 +61,12 @@ from .fingerprint import (
 def parse_query(text: str) -> CQ | UCQ:
     """Parse a CQ, or a ``;``-separated UCQ (the CLI convention)."""
     return parse_ucq(text) if ";" in text else parse_cq(text)
+
+
+def _definitive(outcome: dict[str, Any] | None) -> bool:
+    """Whether an answer holds outright, not only up to a search bound
+    (a SAT search over dom(D) plus a few nulls) that cache keys omit."""
+    return (outcome or {}).get("definitive") is not False
 
 
 @dataclass(frozen=True)
@@ -148,8 +157,9 @@ class CompiledOMQ:
         """Certain answers (or the Boolean verdict) for one instance.
 
         Consults *cache* first; on a miss runs the engine and — when the
-        result is definitive — populates *cache*, so the next evaluation of
-        the same (plan, instance) pair through it is a lookup.  The plan is
+        result is definitive, neither ``UNKNOWN`` nor bound-relative —
+        populates *cache*, so the next evaluation of the same (plan,
+        instance) pair through it is a lookup.  The plan is
         shared by every caller of :func:`compile_omq`, so the cache is an
         argument of each call, never plan state.
         """
@@ -160,7 +170,9 @@ class CompiledOMQ:
                 key = AnswerCache.key(
                     self.fingerprint, fingerprint_instance(instance))
                 hit = cache.get(key)
-                if hit is not None:
+                # A durable store written by an older version may hold a
+                # bound-relative answer: recompute it, never serve it.
+                if hit is not None and _definitive(hit.get("outcome")):
                     span.set(cache_hit=True, verdict=hit["verdict"])
                     return EvalResult(
                         verdict=hit["verdict"],
@@ -202,7 +214,7 @@ class CompiledOMQ:
             result = EvalResult(
                 verdict=verdict, answers=answers, outcome=outcome,
                 elapsed=time.perf_counter() - start, path=path)
-            if key is not None:
+            if key is not None and _definitive(outcome):
                 cache.put(key, {
                     "verdict": verdict,
                     "answers": [list(a) for a in answers],
@@ -318,6 +330,9 @@ def classify_band(onto: Ontology) -> tuple[str, str]:
 
 _plan_cache = LRUCache(maxsize=64)
 
+#: The accepted values of ``compile_omq(fastpath=...)``.
+FASTPATH_MODES = ("off", "auto")
+
 
 def clear_plan_cache() -> None:
     """Drop the memoized plans and the memoized static bands."""
@@ -349,15 +364,15 @@ def compile_omq(
     *fastpath* gates the ``datalog-fastpath`` plan kind (see the module
     docstring): ``"off"`` (default — on the example ontologies the type
     enumeration costs 0.03-0.25 s per OMQ and the whole compile up to
-    2.3 s, on a 2-core x86_64 VM, so it is opt-in), ``"auto"`` (attempt
+    2.3 s, on a 2-core x86_64 VM, so it is opt-in) or ``"auto"`` (attempt
     the fast path, but only after a cheap static PTIME proof: Figure-1
-    DICHOTOMY band + Horn), or ``"force"`` (skip the PTIME classification and trust the
-    caller — still sound for PTIME OMQs; for others the rewriting
-    over-approximates and ``certain`` may over-report, which is why force
-    is a testing knob, not a serving default).
+    DICHOTOMY band + Horn).  There is no way to skip that proof: outside
+    the PTIME band the rewriting over-approximates, and its answers would
+    reach every caller sharing an answer cache.
     """
-    if fastpath not in ("off", "auto", "force"):
-        raise ValueError(f"fastpath must be off/auto/force, got {fastpath!r}")
+    if fastpath not in FASTPATH_MODES:
+        raise ValueError(f"fastpath must be {' or '.join(FASTPATH_MODES)}, "
+                         f"got {fastpath!r}")
     with current_tracer().span("plan.compile", backend=str(backend)) as span:
         if isinstance(query, str):
             if preflight:
@@ -394,14 +409,14 @@ def compile_omq(
             query_fingerprint=query_fp,
             fingerprint=fingerprint_omq(onto, query),
         )
-        if fastpath != "off":
-            _try_fastpath(plan, mode=fastpath)
+        if fastpath == "auto":
+            _try_fastpath(plan)
         _plan_cache.put(memo_key, plan)
         span.set(memo_hit=False, plan_kind=plan.plan_kind)
         return plan
 
 
-def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
+def _try_fastpath(plan: CompiledOMQ) -> None:
     """Upgrade *plan* to ``datalog-fastpath`` when that is provably sound.
 
     The gate, in increasing cost order; the first failing step records its
@@ -409,7 +424,7 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
 
     1. the query is a unary rooted-acyclic CQ (the shape Theorem 5 and the
        program emission cover);
-    2. (``auto`` only) a static PTIME proof, :func:`classify_band`: the
+    2. a static PTIME proof, :func:`classify_band`: the
        ontology profiles into a Figure-1 DICHOTOMY fragment **and** is
        Horn — Horn ontologies are materializable (the paper's Section 6
        shortcut), and in a DICHOTOMY band materializable == unravelling
@@ -435,10 +450,9 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
         return refuse(f"fastpath needs a unary query (arity {query.arity})")
     if not query.is_rooted_acyclic():
         return refuse("fastpath needs a rooted acyclic query")
-    if mode == "auto":
-        band, detail = classify_band(plan.onto)
-        if band != BAND_PTIME:
-            return refuse(detail)
+    band, detail = classify_band(plan.onto)
+    if band != BAND_PTIME:
+        return refuse(detail)
     from ..core.rewriting import TypeRewriting
 
     try:

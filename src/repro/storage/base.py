@@ -14,11 +14,13 @@ Contract (every backend, every method):
 * **get/put/delete are best-effort and never raise** on I/O trouble — a
   broken cache volume must degrade a batch to cache-miss speed, never
   abort it.  Failures are counted in :meth:`StorageBackend.stats`.
-* **Never store UNKNOWN.**  A non-definitive result is a budget artifact,
-  not a fact about the OMQ; caching it would make a starved run
-  infectious.  :meth:`StorageBackend.put` raises :class:`UnstorableValue`
-  on a result dict whose verdict is ``unknown`` — loudly, because a
-  caller that tries is a bug, not an I/O accident.
+* **Store only definitive results.**  An ``UNKNOWN`` verdict is a budget
+  artifact, and a bound-relative answer (SAT's "no countermodel over
+  dom(D) + k nulls") depends on a bound the key leaves out; neither is a
+  fact about the OMQ, and caching one would hand it to every later
+  caller.  :meth:`StorageBackend.put` raises :class:`UnstorableValue` on
+  such a result dict (:func:`check_storable`) — loudly, because a caller
+  that tries is a bug, not an I/O accident.
 * **Atomic entries.**  Readers never observe a torn write: directory
   backends write via ``mkstemp`` + ``os.replace``, the sqlite backend via
   transactions.  A corrupt entry (machine crash, bit rot) behaves as a
@@ -77,20 +79,28 @@ class StorageError(ValueError):
 
 
 class UnstorableValue(ValueError):
-    """A caller tried to store a non-definitive (UNKNOWN) result."""
+    """A caller tried to store a non-definitive result."""
 
 
 def check_storable(value: Any) -> None:
-    """Enforce the never-store-UNKNOWN contract on a result value.
+    """Enforce the definitive-only contract on a result value.
 
     Raises :class:`UnstorableValue` when *value* is a result dict whose
-    verdict is ``unknown``.  Anything else passes — backends store plain
-    JSON-able values and do not interpret them further.
+    verdict is ``unknown`` or whose ``outcome`` is not definitive.
+    Anything else passes — backends store plain JSON-able values and do
+    not interpret them further.
     """
-    if isinstance(value, dict) and value.get("verdict") == "unknown":
+    if not isinstance(value, dict):
+        return
+    if value.get("verdict") == "unknown":
         raise UnstorableValue(
             "refusing to cache a non-definitive (UNKNOWN) result: "
             "it is a budget artifact, not a fact about the OMQ")
+    outcome = value.get("outcome")
+    if isinstance(outcome, dict) and outcome.get("definitive") is False:
+        raise UnstorableValue(
+            "refusing to cache a bound-relative (non-definitive) result: "
+            "its key holds no bound, so it is not a fact about the OMQ")
 
 
 @dataclass(frozen=True)

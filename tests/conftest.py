@@ -23,3 +23,20 @@ def no_ambient_faults(monkeypatch):
     import repro.runtime.faults as faults
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.setattr(faults, "_cache", None)
+
+
+@pytest.fixture
+def cacheable():
+    """``cacheable(outcome)``: whether a result with this outcome enters
+    the answer cache — only definitive answers do.  Tests that count
+    cache hits or entries derive them from their cold results with it,
+    so their answer checks also run under ambient fault injection (the
+    CI fault job), where a truncated chase may leave an answer to the
+    SAT rung, whose yes holds only up to its null bound.  Without
+    ``REPRO_FAULTS`` every answer those tests compute is definitive, and
+    this asserts so."""
+    def check(outcome):
+        definitive = (outcome or {}).get("definitive") is not False
+        assert definitive or os.environ.get("REPRO_FAULTS"), outcome
+        return definitive
+    return check

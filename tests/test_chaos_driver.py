@@ -133,21 +133,26 @@ class TestCacheInvariants:
         path = tmp_path / "c.db"
         with SqliteBackend(path) as backend:
             backend.put(digest("good"), {"verdict": "yes", "answers": []})
-        # put() itself refuses UNKNOWN values (check_storable), so plant
-        # the poisoned row behind the guard's back — the scenario the
-        # invariant exists to catch is exactly a write that dodged it.
-        text = json.dumps({"verdict": "unknown", "answers": []})
+        # put() itself refuses non-definitive values (check_storable), so
+        # plant the poisoned rows behind the guard's back — the scenario
+        # the invariant exists to catch is exactly a write that dodged it.
         conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO entries"
-            "(key, value, digest, size, created, last_used, hits) "
-            "VALUES(?, ?, ?, ?, 0, 0, 0)",
-            (digest("bad"), text, digest(text), len(text)))
+        for name, value in (
+                ("bad", {"verdict": "unknown", "answers": []}),
+                ("bounded", {"verdict": "ok", "answers": [["a"]],
+                             "outcome": {"definitive": False}})):
+            text = json.dumps(value)
+            conn.execute(
+                "INSERT INTO entries"
+                "(key, value, digest, size, created, last_used, hits) "
+                "VALUES(?, ?, ?, ?, 0, 0, 0)",
+                (digest(name), text, digest(text), len(text)))
         conn.commit()
         conn.close()
         out = check_no_unknown_cached(f"sqlite:{path}")
-        assert len(out) == 1
-        assert out[0].invariant == "no-unknown-cached"
+        assert len(out) == 2
+        assert {v.invariant for v in out} == {"no-unknown-cached"}
+        assert any("bound-relative" in v.detail for v in out)
 
     def test_clean_backend_verifies(self, tmp_path):
         path = tmp_path / "c.db"

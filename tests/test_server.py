@@ -16,8 +16,7 @@ import pytest
 
 from repro.logic.ontology import ontology
 from repro.server import (
-    BAND_HARD, BAND_PTIME, AdmissionController, ReproServer, TokenBucket,
-    classify_band,
+    BAND_HARD, BAND_PTIME, AdmissionController, ReproServer, classify_band,
 )
 from repro.server.state import CANCELLED, DONE, FAILED, RUNNING, JobSetStore
 from repro.serving import comparable_report, evaluate_batch, jobs_from_entries
@@ -62,35 +61,11 @@ def test_classify_band_is_memoized():
     assert classify_band(onto) == classify_band(onto)
 
 
-# -- token bucket -------------------------------------------------------------
-
-
-def test_token_bucket_burst_then_refill():
-    clock = FakeClock()
-    bucket = TokenBucket(rate=10.0, burst=5.0, clock=clock)
-    assert bucket.try_acquire(5.0) == 0.0  # the full burst is available
-    wait = bucket.try_acquire(1.0)
-    assert wait == pytest.approx(0.1)  # 1 token at 10/s
-    clock.advance(0.1)
-    assert bucket.try_acquire(1.0) == 0.0
-    clock.advance(100.0)  # refill caps at burst
-    assert bucket.try_acquire(5.0) == 0.0
-    assert bucket.try_acquire(5.0) > 0.0
-
-
-def test_token_bucket_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        TokenBucket(rate=0.0, burst=1.0)
-    with pytest.raises(ValueError):
-        TokenBucket(rate=1.0, burst=-1.0)
-
-
 # -- admission controller -----------------------------------------------------
 
 
 def make_controller(**kw):
-    defaults = dict(max_queued_jobs=10, high_water=0.5, rate=1000.0,
-                    burst=1000.0, clock=FakeClock())
+    defaults = dict(max_queued_jobs=10, high_water=0.5)
     defaults.update(kw)
     return AdmissionController(**defaults)
 
@@ -124,30 +99,34 @@ def test_admission_sheds_hard_band_above_high_water_only():
     assert snap["shed"]["queue_full"] == 1
 
 
-def test_admission_rate_limit_gives_exact_retry_after():
-    clock = FakeClock()
-    ctl = make_controller(rate=10.0, burst=5.0, clock=clock)
-    assert ctl.admit("a", 5, BAND_PTIME).accepted
-    decision = ctl.admit("a", 2, BAND_PTIME)
-    assert not decision.accepted and decision.status == 429
-    assert decision.retry_after == pytest.approx(0.2)  # 2 tokens at 10/s
-    clock.advance(0.2)
-    assert ctl.admit("a", 2, BAND_PTIME).accepted
-    # A different client has its own bucket.
-    assert ctl.admit("b", 3, BAND_PTIME).accepted
+def test_admission_one_client_is_limited_by_the_queue_alone():
+    # 60 back-to-back four-job submissions from one client, none released:
+    # only the queue bound (and, for hard-band work, high water) refuses.
+    ctl = make_controller(max_queued_jobs=256)
+    for n in range(60):
+        decision = ctl.admit("a", 4, BAND_PTIME)
+        assert decision.accepted, (n, decision)
+    assert not ctl.admit("a", 17, BAND_PTIME).accepted  # 240 + 17 > 256
+    snap = ctl.snapshot()
+    assert snap["queued_jobs"] == 240
+    assert snap["shed"] == {"draining": 0, "queue_full": 1, "hard_band": 0}
 
 
 def test_admission_per_client_inflight_cap():
-    ctl = make_controller(max_queued_jobs=100, max_inflight_jobs=6)
+    # There is no per-client in-flight cap: a client's jobs in flight are
+    # accounted, never limited, and every client shares the one queue.
+    ctl = make_controller(max_queued_jobs=100)
     assert ctl.admit("a", 6, BAND_PTIME).accepted
-    capped = ctl.admit("a", 1, BAND_PTIME)
-    assert not capped.accepted and capped.status == 429
+    assert ctl.admit("a", 1, BAND_PTIME).accepted
     assert ctl.admit("b", 6, BAND_PTIME).accepted  # other tenants unaffected
+    assert ctl.snapshot()["clients"]["a"]["inflight_jobs"] == 7
     ctl.release("a", 6, elapsed=1.5)
     assert ctl.admit("a", 1, BAND_PTIME).accepted
     usage = ctl.snapshot()["clients"]["a"]
     assert usage["jobs_completed"] == 6
     assert usage["elapsed_seconds"] == pytest.approx(1.5)
+    assert usage["inflight_jobs"] == 2
+    assert usage["accepted"] == 3 and usage["rejected"] == 0
 
 
 def test_admission_draining_returns_503():
@@ -271,6 +250,19 @@ def test_submit_poll_result_end_to_end(server):
     assert [js["id"] for js in listing["jobsets"]] == [body["id"]]
 
 
+def test_finished_jobset_releases_its_ontology(server):
+    srv = server()
+    accepted = api(srv, "POST", "/v1/jobsets",
+                   {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS})[1]
+    result = wait_terminal(srv, accepted["id"])
+    assert srv.store.get(accepted["id"]).onto is None
+    # The report is all /result serves, and it stays.
+    assert result["status"] == DONE
+    assert result["report"]["jobs"][0]["answers"] == [["t"]]
+    status, again, _ = api(srv, "GET", f"/v1/jobsets/{accepted['id']}/result")
+    assert status == 200 and again["report"] == result["report"]
+
+
 def test_health_ready_and_unknown_routes(server):
     srv = server()
     assert api(srv, "GET", "/healthz")[0] == 200
@@ -320,11 +312,16 @@ def test_bad_submissions_are_400(server):
          "options": {"budget": "bogus=1"}},
         {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "deadline": -1},
         {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "deadline": "soon"},
+        # A forced fast path would skip the static PTIME proof, and its
+        # answers would land in the answer cache every client shares.
+        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS,
+         "options": {"fastpath": "force"}},
     ]
     for payload in cases:
         status, body, _ = api(srv, "POST", "/v1/jobsets", payload)
         assert status == 400, payload
         assert "error" in body
+    assert api(srv, "GET", "/v1/jobsets")[1]["jobsets"] == []
 
 
 def test_queue_full_returns_429_with_retry_after(server):
@@ -539,6 +536,52 @@ def test_daemon_resume_skips_cancelled_jobsets(tmp_path, server):
     status, body, _ = api(second, "GET",
                           f"/v1/jobsets/{cancelled['id']}/result")
     assert status == 200 and body["status"] == CANCELLED
+
+
+def test_resume_reruns_a_journaled_force_jobset_under_auto(tmp_path, server):
+    # A journal from a daemon that still accepted options.fastpath
+    # "force": a forced hard-band job set with one journaled (wrong)
+    # answer, then an ordinary job set.
+    from repro.resilience import Journal
+    from repro.serving import JobResult, job_key
+
+    journal = str(tmp_path / "serve.jsonl")
+    [forced_job] = jobs_from_entries(HARD_JOBS)
+    wrong = JobResult(index=0, job_id=forced_job.job_id,
+                      query=forced_job.query, data=forced_job.data_ref(),
+                      status="ok", verdict="ok", answers=(("c",),),
+                      path="fastpath")
+    with Journal(journal) as log:
+        for jobset_id, onto, jobs, band, options in (
+                ("js-000001-forced", HARD_ONTO, HARD_JOBS, BAND_HARD,
+                 {"fastpath": "force"}),
+                ("js-000002-plain", PTIME_ONTO, PTIME_JOBS, BAND_PTIME, {})):
+            log.append({"kind": "jobset", "id": jobset_id, "client": "test",
+                        "band": band,
+                        "payload": {"ontology": onto, "dl": False,
+                                    "jobs": jobs, "options": options,
+                                    "deadline": None}})
+        log.append({"kind": "job-result", "jobset": "js-000001-forced",
+                    "key": job_key(0, forced_job), "result": wrong.to_dict()})
+
+    srv = server(journal=journal, resume=True)
+    forced = wait_terminal(srv, "js-000001-forced")
+    assert forced["status"] == DONE and forced["resumed"] is True
+    [job] = forced["report"]["jobs"]
+    # Recomputed under "auto": no static PTIME proof, so the ladder
+    # answers, and C(c) does not make A(c) certain.
+    assert job["answers"] == [] and job["path"] == "ladder"
+    assert not job.get("resumed")
+    plain = wait_terminal(srv, "js-000002-plain")
+    assert plain["status"] == DONE
+    assert plain["report"]["jobs"][0]["answers"] == [["t"]]
+
+
+def test_daemon_default_fastpath_is_checked():
+    # A bad default would make every submission a 400 about an option
+    # its client never sent.
+    with pytest.raises(ValueError, match="off or auto"):
+        ReproServer(fastpath="force")
 
 
 # -- real-signal subprocess end-to-end ----------------------------------------

@@ -48,24 +48,17 @@ class TestGate:
         assert plan.strata
         assert plan.program_report.admissible
 
-    def test_force_accepts_too(self):
-        plan = compile_omq(PROP, PROP_Q, fastpath="force")
-        assert plan.plan_kind == "datalog-fastpath"
-
     def test_non_horn_refused_with_reason(self):
         plan = compile_omq(NON_HORN, "q(x) <- Heads(x)", fastpath="auto")
         assert plan.plan_kind == "ladder"
         assert "Horn" in plan.fastpath_reason
 
     def test_force_skips_the_static_ptime_proof(self):
-        # "force" is the user's escape hatch: it bypasses the band/Horn
-        # gate (the answers may over-approximate if the claim is wrong),
-        # but the structural gates still apply.
-        plan = compile_omq(NON_HORN, "q(x) <- Heads(x)", fastpath="force")
-        assert plan.plan_kind == "datalog-fastpath"
-        forced_boolean = compile_omq(NON_HORN, "q() <- Heads(x)",
-                                     fastpath="force")
-        assert forced_boolean.plan_kind == "ladder"
+        # Nothing skips the static PTIME proof: outside the PTIME band the
+        # rewriting over-approximates, so "force" is refused outright.
+        for onto, query in ((NON_HORN, "q(x) <- Heads(x)"), (PROP, PROP_Q)):
+            with pytest.raises(ValueError, match="off or auto"):
+                compile_omq(onto, query, fastpath="force")
 
     def test_trivial_omq_refused(self):
         plan = compile_omq(TRIVIAL, "q(x) <- A(x)", fastpath="auto")

@@ -12,6 +12,7 @@ from repro.semantics.certain import CertainEngine
 from repro.serving import (
     AnswerCache, clear_caches, compile_omq, parse_query, plan_cache_stats,
 )
+from repro.serving.fingerprint import fingerprint_instance
 
 HAND = ontology(
     "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))")
@@ -66,11 +67,12 @@ class TestCompileMemo:
 
 
 class TestEvaluate:
-    def test_cold_then_warm_are_identical(self):
+    def test_cold_then_warm_are_identical(self, cacheable):
         plan, cache = compile_omq(HAND, HAND_QUERY), AnswerCache()
         cold = plan.evaluate(DATA, cache=cache)
         warm = plan.evaluate(DATA, cache=cache)
-        assert not cold.cache_hit and warm.cache_hit
+        assert not cold.cache_hit
+        assert warm.cache_hit == cacheable(cold.outcome)
         assert cold.verdict == warm.verdict == "ok"
         assert cold.answers == warm.answers
         assert cold.definitive and warm.definitive
@@ -103,43 +105,53 @@ class TestEvaluate:
         assert r1.answers == r2.answers
         assert not r1.cache_hit and not r2.cache_hit
 
-    def test_metrics_accumulate(self):
+    def test_metrics_accumulate(self, cacheable):
         plan, cache = compile_omq(HAND, HAND_QUERY), AnswerCache()
         first = plan.evaluate(DATA, cache=cache)
         second = plan.evaluate(DATA, cache=cache)
-        assert (first.path, second.path) == ("ladder", "cache")
+        cached = cacheable(first.outcome)
+        assert first.path == "ladder"
+        assert second.path == ("cache" if cached else "ladder")
         memory = cache.stats()["memory"]
-        assert memory["misses"] == 1  # only the engine run
-        assert memory["hits"] == 1
-        assert memory["size"] == 1
+        assert memory["misses"] == 2 - cached  # one per engine run
+        assert memory["hits"] == cached
+        assert memory["size"] == (cached or cacheable(second.outcome))
 
 
 class TestSharedPlan:
     """The memoized plan is shared: per-caller state never lives on it."""
 
-    def test_two_callers_share_one_plan_with_their_own_caches(self):
-        mine, theirs = AnswerCache(), AnswerCache()
+    def test_two_callers_share_one_plan_with_their_own_caches(
+            self, cacheable):
+        mine, theirs, third = AnswerCache(), AnswerCache(), AnswerCache()
         p1 = compile_omq(HAND, HAND_QUERY)
         p2 = compile_omq(HAND, HAND_QUERY)
         assert p1 is p2
-        other = make_instance("Hand(g)")
-        assert not p1.evaluate(DATA, cache=mine).cache_hit
-        assert not p2.evaluate(other, cache=theirs).cache_hit
-        # Each evaluate read and wrote only the cache passed to it.
-        assert len(mine.memory) == len(theirs.memory) == 1
-        assert not p2.evaluate(DATA, cache=theirs).cache_hit
-        assert not p1.evaluate(other, cache=mine).cache_hit
-        assert len(mine.memory) == len(theirs.memory) == 2
+        data = {"h": DATA, "g": make_instance("Hand(g)")}
+        # The instances each cache holds an answer for: those whose
+        # answer was definitive when evaluated through it, nothing else.
+        held = {id(mine): set(), id(theirs): set(), id(third): set()}
+
+        def run(plan, name, cache):
+            result = plan.evaluate(data[name], cache=cache)
+            assert result.answers == ((name,),)
+            assert result.cache_hit == (name in held[id(cache)])
+            if cacheable(result.outcome):
+                held[id(cache)].add(name)
+            # Each evaluate read and wrote only the cache passed to it.
+            assert len(cache.memory) == len(held[id(cache)])
+            return result.cache_hit
+
+        assert not run(p1, "h", mine) and not run(p2, "g", theirs)
+        assert not run(p2, "h", theirs) and not run(p1, "g", mine)
         # Later compiles of the same OMQ, with or without a cache of their
         # own, change nothing either caller sees.
         assert compile_omq(HAND, HAND_QUERY) is p1
-        third = AnswerCache()
-        assert compile_omq(HAND, parse_cq(HAND_QUERY)).evaluate(
-            DATA, cache=third).cache_hit is False
-        assert p1.evaluate(DATA, cache=mine).cache_hit
-        assert p2.evaluate(other, cache=theirs).cache_hit
-        assert len(mine.memory) == len(theirs.memory) == 2
-        assert len(third.memory) == 1
+        assert not run(compile_omq(HAND, parse_cq(HAND_QUERY)), "h", third)
+        # Each caller hits on what its own cache holds.
+        run(p1, "h", mine)
+        run(p2, "g", theirs)
+        assert len(third.memory) == len(held[id(third)])
         # A caller asking for uncached evaluation (e.g. a cold benchmark)
         # never gets another caller's cached answers.
         assert p1.evaluate(DATA).cache_hit is False
@@ -164,6 +176,35 @@ class TestUnknownResults:
         assert retry.verdict == "ok" and not retry.cache_hit
         assert plan.evaluate(DATA, cache=cache).cache_hit
 
+    def test_bound_relative_answer_is_not_cached(self):
+        # With no spare nulls the SAT search finds no countermodel, so it
+        # returns (a) relative to that bound; the key holds no bound.
+        onto = ontology("forall x (A(x) -> exists y (R(x,y) & B(y)))")
+        data = make_instance("A(a)")
+        cache = AnswerCache()
+        bounded = compile_omq(onto, "q(x) <- B(x)", backend="sat",
+                              sat_extra=0).evaluate(data, cache=cache)
+        assert bounded.answers == (("a",),)
+        assert bounded.outcome["definitive"] is False
+        assert len(cache.memory) == 0
+        default = compile_omq(onto, "q(x) <- B(x)").evaluate(data, cache=cache)
+        assert default.answers == ()
+        assert default.cache_hit is False
+        assert len(cache.memory) == 1  # the definitive answer is cached
+
+    def test_stored_bound_relative_answer_is_recomputed(self, cacheable):
+        # A store written while bound-relative answers were still cached.
+        onto = ontology("forall x (A(x) -> exists y (R(x,y) & B(y)))")
+        data = make_instance("A(a)")
+        plan, cache = compile_omq(onto, "q(x) <- B(x)"), AnswerCache()
+        key = AnswerCache.key(plan.fingerprint, fingerprint_instance(data))
+        cache.memory.put(key, {"verdict": "ok", "answers": [["a"]],
+                               "outcome": {"definitive": False}})
+        fresh = plan.evaluate(data, cache=cache)
+        assert fresh.answers == () and not fresh.cache_hit
+        if cacheable(fresh.outcome):  # the real answer replaced it
+            assert cache.get(key)["answers"] == []
+
 
 class TestUnderFaultInjection:
     """Cold and cached runs agree even when the chase is being truncated."""
@@ -181,6 +222,19 @@ class TestUnderFaultInjection:
         assert warm.cache_hit
         assert cold.verdict == warm.verdict == "ok"
         assert cold.answers == warm.answers == (("c",),)
+
+    def test_fault_truncated_answer_is_not_cached(self, monkeypatch):
+        # The truncated chase leaves h to the SAT rung, whose yes holds
+        # only up to its null bound: the same answer, never cached.
+        import repro.runtime.faults as faults
+        monkeypatch.setattr(faults, "_cache", None)
+        monkeypatch.setenv("REPRO_FAULTS", "chase_truncate")
+        plan, cache = compile_omq(HAND, HAND_QUERY), AnswerCache()
+        cold = plan.evaluate(DATA, cache=cache)
+        warm = plan.evaluate(DATA, cache=cache)
+        assert cold.outcome["definitive"] is False
+        assert not warm.cache_hit and len(cache.memory) == 0
+        assert cold.answers == warm.answers == (("h",),)
 
     def test_budget_carried_fault_plan_converges(self, no_ambient_faults):
         plan = compile_omq(HAND, HAND_QUERY)

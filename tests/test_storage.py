@@ -245,6 +245,12 @@ def test_check_storable_passes_definitive_and_plain_values():
     check_storable("text")
     with pytest.raises(UnstorableValue):
         check_storable({"verdict": "unknown"})
+    check_storable({"verdict": "ok", "outcome": {"definitive": True}})
+    check_storable({"verdict": "ok", "outcome": None})
+    # A bound-relative answer: its key holds no bound.
+    with pytest.raises(UnstorableValue, match="bound-relative"):
+        check_storable({"verdict": "ok", "answers": [["a"]],
+                        "outcome": {"definitive": False}})
 
 
 # -- DirectoryBackend: the flat cache-directory format -----------------------

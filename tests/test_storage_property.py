@@ -55,7 +55,8 @@ def backend_uri(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", ["dir", "sqlite", "shard"])
 class TestBackendIsInvisible:
-    def test_cold_warm_shared_all_match_uncached(self, kind, tmp_path):
+    def test_cold_warm_shared_all_match_uncached(self, kind, tmp_path,
+                                                 cacheable):
         jobs = hand_workload()
         baseline = evaluate_batch(HAND, jobs)
         reference = baseline.signatures()
@@ -66,15 +67,19 @@ class TestBackendIsInvisible:
         assert cold.signatures() == reference
         assert cold.stats["cache"]["hits"] == 0
 
-        # Warm: same process, same memory tier.
+        # Warm: same process, same memory tier.  Every job has its own
+        # key, so a job hits exactly when its cold answer was cached.
         warm = evaluate_batch(HAND, jobs, cache_backend=uri)
         assert warm.signatures() == reference
+        assert ([r.cache_hit for r in warm.results]
+                == [cacheable(r.outcome) for r in cold.results])
 
         # Shared: fresh memory tier, answers come from the durable store.
         clear_caches()
         shared = evaluate_batch(HAND, jobs, cache_backend=uri)
         assert shared.signatures() == reference
-        assert shared.stats["cache"]["hits"] == len(jobs)
+        assert ([r.cache_hit for r in shared.results]
+                == [cacheable(r.outcome) for r in warm.results])
 
     def test_pooled_workers_share_the_backend(self, kind, tmp_path):
         jobs = hand_workload(8)
@@ -144,7 +149,7 @@ class TestStarvationNeverPoisonsTheCache:
         assert all(r.status != "unknown" for r in healthy.results)
 
 
-def test_resume_journal_coexists_with_shared_cache(tmp_path):
+def test_resume_journal_coexists_with_shared_cache(tmp_path, cacheable):
     # --resume replays finished jobs from the journal; unfinished ones
     # re-run and may hit the shared store. Signatures must match a
     # straight-through run either way.
@@ -154,13 +159,16 @@ def test_resume_journal_coexists_with_shared_cache(tmp_path):
     reference = evaluate_batch(HAND, jobs).signatures()
 
     clear_caches()
-    evaluate_batch(HAND, jobs[:3], cache_backend=uri, journal=journal)
+    first = evaluate_batch(HAND, jobs[:3], cache_backend=uri,
+                           journal=journal)
     clear_caches()
     resumed = evaluate_batch(HAND, jobs, cache_backend=uri,
                              journal=journal, resume=True)
     assert resumed.signatures() == reference
     # The first three came from the journal, the rest were evaluated
-    # fresh and persisted into the shared store.
+    # fresh; every definitive answer of either run went into the store.
     assert resumed.stats["resilience"]["resumed"] == 3
     assert resumed.stats["resilience"]["journal"]["appended"] == 3
-    assert resumed.stats["cache"]["backend"]["lifetime"]["puts"] == len(jobs)
+    computed = first.results + resumed.results[3:]
+    assert (resumed.stats["cache"]["backend"]["lifetime"]["puts"]
+            == sum(cacheable(r.outcome) for r in computed))
