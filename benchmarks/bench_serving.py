@@ -23,6 +23,10 @@ across a batch.  This bench measures both:
   can ship the Theorem 5 Datalog(≠) rewriting instead of the chase
   ladder (``fastpath="auto"``); the smoke gate asserts the fast path
   returns the ladder's answers *and* beats it on wall clock.
+* **fast-path crossover** — what the fast path costs to compile and
+  what it saves per evaluation, against the ladder, from 10 to 400 facts
+  (:func:`fastpath_crossover`, full run and ``--snapshot`` only, no
+  gate): the measurement behind ``fastpath="off"`` as the one default.
 * **storage backends** — the shared answer store behind ``AnswerCache``
   is pluggable (:mod:`repro.storage`); the smoke gate bounds the
   sqlite: and shard: warm-hit lookup at 25% over the dir: baseline,
@@ -345,6 +349,111 @@ def fastpath_comparison(repeats: int = 9) -> dict:
         "batch_hit_rate": (round(paths.get("fastpath", 0) / engine_evals, 4)
                            if engine_evals else 0.0),
     }
+
+
+#: Instance sizes, in facts, of the crossover sweep.
+CROSSOVER_SIZES = (10, 25, 50, 100, 200, 400)
+
+
+def hands_facts(n: int) -> list:
+    """*n* horn-hands facts: ``Hand(h_i)`` and ``hasFinger(h_i,f_i)``."""
+    return [fact for i in range(n // 2)
+            for fact in (f"Hand(h{i})", f"hasFinger(h{i},f{i})")]
+
+
+def chain_facts(n: int, length: int = 8) -> list:
+    """*n* facts of R-chains with *length* facts each, A at every head."""
+    facts = []
+    while len(facts) < n:
+        i = len(facts) // length
+        facts += [f"A(a{i}_0)"] + [f"R(a{i}_{k},a{i}_{k + 1})"
+                                   for k in range(length - 1)]
+    return facts[:n]
+
+
+def fastpath_crossover(repeats: int = 3) -> dict:
+    """Fast-path compile time and per-evaluation time, against the ladder.
+
+    For horn-hands (:data:`QUERY`) and prop chains (:data:`FASTPATH_ONTO`)
+    at :data:`CROSSOVER_SIZES` facts, and for one ``repro.chaos`` horn
+    workload at its default 10-fact instances: the ``fastpath="auto"``
+    compile from cold caches, then best-of-*repeats* seconds per
+    evaluation on warm plans with no answer cache, for the ladder, the
+    emitted program and (sweeps only) the type fixpoint that the program
+    is emitted from.  ``break_even_evaluations`` is how many evaluations
+    of one plan repay the compile; ``crossover_facts`` the smallest size
+    where the program evaluates faster than the ladder.
+    """
+    from repro.chaos import WorkloadSpec, generate_workload
+    from repro.core.rewriting import TypeRewriting
+
+    def per_eval(plan, inst) -> float:
+        return _best_seconds(lambda: plan.evaluate(inst), repeats)
+
+    report = {}
+    for family, onto, query, facts in (
+            ("horn-hands", ONTO, QUERY, hands_facts),
+            ("prop-chains", FASTPATH_ONTO, FASTPATH_QUERY, chain_facts)):
+        clear_caches()
+        t0 = time.perf_counter()
+        fast = compile_omq(onto, query, fastpath="auto")
+        compile_s = time.perf_counter() - t0
+        ladder = compile_omq(onto, query)
+        rewriting = TypeRewriting(onto, parse_query(query))
+        sizes = []
+        for n in CROSSOVER_SIZES:
+            inst = make_instance(*facts(n))
+            agree = (ladder.evaluate(inst).answers
+                     == fast.evaluate(inst).answers)  # also warms both
+            ladder_s, fast_s = per_eval(ladder, inst), per_eval(fast, inst)
+            saved = ladder_s - fast_s
+            sizes.append({
+                "facts": n,
+                "ladder_s": round(ladder_s, 6),
+                "fastpath_s": round(fast_s, 6),
+                "fixpoint_s": round(_best_seconds(
+                    lambda: rewriting.answers(inst), repeats), 6),
+                "answers_agree": agree,
+                "break_even_evaluations": (
+                    int(compile_s / saved) + 1 if saved > 0 else None),
+            })
+        report[family] = {
+            "plan_kind": fast.plan_kind,
+            "compile_s": round(compile_s, 6),
+            "crossover_facts": next((row["facts"] for row in sizes
+                                     if row["fastpath_s"] < row["ladder_s"]),
+                                    None),
+            "sizes": sizes,
+        }
+
+    spec = WorkloadSpec(seed=2017, family="horn")
+    generated = generate_workload(spec)
+    onto = generated.ontology()
+    clear_caches()
+    compile_s = ladder_s = fast_s = 0.0
+    agree, fast_jobs = True, 0
+    for job in generated.jobs:
+        t0 = time.perf_counter()
+        fast = compile_omq(onto, job["query"], fastpath="auto")
+        compile_s += time.perf_counter() - t0
+        ladder = compile_omq(onto, job["query"])
+        inst = make_instance(*job["facts"])
+        agree &= ladder.evaluate(inst).answers == fast.evaluate(inst).answers
+        fast_jobs += fast.plan_kind == "datalog-fastpath"
+        ladder_s += per_eval(ladder, inst)
+        fast_s += per_eval(fast, inst)
+    jobs = len(generated.jobs)
+    report["chaos-horn"] = {
+        "seed": spec.seed,
+        "facts": spec.instance_size,
+        "jobs": jobs,
+        "fastpath_jobs": fast_jobs,
+        "compile_s": round(compile_s, 6),
+        "ladder_s": round(ladder_s / jobs, 6),
+        "fastpath_s": round(fast_s / jobs, 6),
+        "answers_agree": agree,
+    }
+    return report
 
 
 def storage_comparison(repeats: int = 9) -> dict:
@@ -690,6 +799,7 @@ def snapshot(path: str = "") -> int:
         "fastpath": report["fastpath"],
         "storage": report["storage"],
         "server": report["server"],
+        "fastpath_crossover": fastpath_crossover(),
     }
     out = path or os.path.join(root, "BENCH_serving.json")
     with open(out, "w") as fh:
@@ -707,7 +817,9 @@ def main(argv=None) -> int:
     if "--snapshot" in argv:
         rest = [a for a in argv if a != "--snapshot"]
         return snapshot(rest[0] if rest else "")
-    print(json.dumps(measure(), indent=2))
+    report = measure()
+    report["fastpath_crossover"] = fastpath_crossover()
+    print(json.dumps(report, indent=2))
     return 0
 
 

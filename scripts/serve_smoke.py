@@ -5,8 +5,12 @@ example smoke workload (``examples/workloads/smoke.json`` over
 ``examples/ontologies/clinic.gf``) through the HTTP API, polls it to
 completion, checks the report verdicts against the known-good answers,
 scrapes ``/metrics``, sends one client's burst of job sets that must all
-be admitted and finish, then sends SIGTERM and asserts the daemon drains
-cleanly (exit 0) with every finished job journaled.
+be admitted and finish, then checks the one-default contract: the
+transport fast-path jobs (``examples/workloads/fastpath.json``) sent
+without ``options`` run on the ladder as under ``repro batch``, a
+malformed option gets 400, and a job set larger than the whole queue gets
+413 without ``Retry-After``.  Last it sends SIGTERM and asserts the daemon
+drains cleanly (exit 0) with every finished job journaled.
 
 Run from the repo root::
 
@@ -46,7 +50,7 @@ def fail(msg: str) -> "None":
     raise SystemExit(1)
 
 
-def request(port: int, method: str, path: str, body=None):
+def request_with_headers(port: int, method: str, path: str, body=None):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
         payload = json.dumps(body) if body is not None else None
@@ -55,12 +59,18 @@ def request(port: int, method: str, path: str, body=None):
                               "X-Client": "serve-smoke"})
         resp = conn.getresponse()
         raw = resp.read()
+        headers = dict(resp.getheaders())
         try:
-            return resp.status, json.loads(raw)
+            return resp.status, json.loads(raw), headers
         except ValueError:
-            return resp.status, raw.decode("utf-8", "replace")
+            return resp.status, raw.decode("utf-8", "replace"), headers
     finally:
         conn.close()
+
+
+def request(port: int, method: str, path: str, body=None):
+    status, parsed, _ = request_with_headers(port, method, path, body)
+    return status, parsed
 
 
 def wait_result(port: int, jobset_id: str) -> dict:
@@ -74,6 +84,51 @@ def wait_result(port: int, jobset_id: str) -> dict:
         if time.monotonic() > deadline:
             fail(f"jobset {jobset_id} did not finish: {status} {result}")
         time.sleep(0.2)
+
+
+def check_one_default(port: int, ontology_text: str) -> int:
+    """The daemon evaluates like ``repro batch``: the transport fast-path
+    jobs without options stay on the ladder, and options are checked
+    where they enter.  Returns the number of jobs it ran."""
+    with open(os.path.join(ROOT, "examples", "ontologies",
+                           "transport.gf")) as fh:
+        transport = fh.read()
+    with open(os.path.join(ROOT, "examples", "workloads",
+                           "fastpath.json")) as fh:
+        fastpath_jobs = json.load(fh)
+    status, body = request(port, "POST", "/v1/jobsets",
+                           {"ontology": transport, "jobs": fastpath_jobs})
+    if status != 202:
+        fail(f"transport submission refused: {status} {body}")
+    result = wait_result(port, body["id"])
+    if result["status"] != "done":
+        fail(f"transport jobset finished {result['status']}: "
+             f"{result.get('error')}")
+    paths = {job["id"]: job["path"] for job in result["report"]["jobs"]}
+    if not set(paths.values()) <= {"ladder", "cache"}:
+        fail(f"jobs without options left the ladder: {paths}")
+    print(f"no options, no fast path ok: {paths}")
+
+    status, body = request(port, "POST", "/v1/jobsets", {
+        "ontology": ontology_text, "jobs": [{"query": "q(x) <- A(x)",
+                                             "facts": ["A(a)"]}],
+        "options": {"chase_depth": "six"}})
+    if status != 400:
+        fail(f"options.chase_depth 'six' got {status}, expected 400: {body}")
+    print(f"malformed option refused: {body['error']}")
+
+    _, listing = request(port, "GET", "/v1/jobsets")
+    capacity = listing["admission"]["max_queued_jobs"]
+    status, body, headers = request_with_headers(
+        port, "POST", "/v1/jobsets",
+        {"ontology": ontology_text,
+         "jobs": [{"query": "q(x) <- A(x)", "facts": [f"A(a{i})"]}
+                  for i in range(capacity + 1)]})
+    if status != 413 or "Retry-After" in headers:
+        fail(f"{capacity + 1} jobs got {status} (Retry-After: "
+             f"{headers.get('Retry-After')}), expected 413 without it")
+    print(f"oversized job set refused: {body['reason']}")
+    return len(fastpath_jobs)
 
 
 def main() -> int:
@@ -164,6 +219,8 @@ def main() -> int:
         print(f"one-client burst ok ({BURST_JOBSETS} job sets, "
               f"{BURST_JOBSETS * len(burst)} jobs, none shed)")
 
+        contract_jobs = check_one_default(port, ontology_text)
+
         proc.send_signal(signal.SIGTERM)
         try:
             proc.wait(timeout=90)
@@ -180,7 +237,7 @@ def main() -> int:
         with open(journal) as fh:
             records = [json.loads(ln) for ln in fh if ln.strip()]
         results = [r for r in records if r.get("kind") == "job-result"]
-        expected = len(jobs) + BURST_JOBSETS * BURST_JOBS
+        expected = len(jobs) + BURST_JOBSETS * BURST_JOBS + contract_jobs
         if len(results) != expected:
             fail(f"journal has {len(results)} job-results, "
                  f"expected {expected}")

@@ -21,6 +21,10 @@ Commands:
   under escalated budgets (repeat crashers are quarantined);
   ``--journal FILE`` records every finished job crash-safely and
   ``--resume`` replays it, so a killed batch picks up where it died.
+* ``serve`` — the daemon behind a JSON HTTP API (see ``docs/serving.md``).
+  It has no evaluation defaults of its own: a job set evaluates as under
+  ``batch``, unless its submission's ``options`` set ``backend``,
+  ``preflight``, ``chase_depth``, ``sat_extra`` or ``fastpath: auto``.
 * ``consistent <ontology-file> <data-file>`` — consistency check (same
   ``--timeout``/``--budget``/``--format`` options).
 * ``trace summarize <trace.jsonl>`` — analyze a JSONL trace written by
@@ -82,7 +86,7 @@ from .obs import NULL_TRACER, Tracer
 from .queries.cq import QueryError, parse_cq, parse_ucq
 from .runtime import Budget, ResourceExhausted
 from .semantics.certain import CertainEngine
-from .serving.plan import FASTPATH_MODES
+from .serving.plan import BACKENDS, FASTPATH_MODES
 
 
 class CliInputError(Exception):
@@ -213,8 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     parsed = [_parse_query(text) for text in query_texts]
     # One engine for the whole invocation: lint preflight and rule
     # conversion happen once however many queries follow.
-    engine = CertainEngine(onto, backend=args.backend,
-                           preflight=args.preflight)
+    engine = CertainEngine(onto, **_evaluation_options(args))
     budget = _build_budget(args)
     tracer = _build_tracer(args)
     with tracer.activate():
@@ -306,6 +309,12 @@ def _evaluate_many(args, engine, data, query_texts, parsed, budget) -> int:
     return exit_code
 
 
+def _evaluation_options(args: argparse.Namespace) -> dict:
+    """The evaluation flags given (the rest keep the library defaults)."""
+    return {key: value for key, value in vars(args).items()
+            if key in ("backend", "preflight", "fastpath")}
+
+
 def _resolve_cache_backend(args: argparse.Namespace) -> str | None:
     """The durable-tier URI: ``--cache-backend`` (or ``--cache-dir``),
     else ``REPRO_CACHE_BACKEND`` — an explicit flag always wins."""
@@ -342,11 +351,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     try:
         report = evaluate_batch(
             onto, jobs, workers=args.jobs, budget=budget,
-            backend=args.backend, preflight=args.preflight,
             cache_backend=cache_backend,
             tracer=tracer, retry=retry,
             journal=args.journal, resume=args.resume,
-            fastpath=args.fastpath)
+            **_evaluation_options(args))
     except (ValueError, StorageError) as exc:
         # Journal/ontology mismatch, a bad backend URI and friends:
         # bad input, not a crash.
@@ -392,8 +400,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server = ReproServer(
             host=args.host, port=args.port, workers=args.workers,
             journal=args.journal, resume=args.resume,
-            cache_backend=cache_backend,
-            backend=args.backend, fastpath=args.fastpath, retry=retry,
+            cache_backend=cache_backend, retry=retry,
             max_queued_jobs=args.max_queue, high_water=args.high_water,
             wedge_timeout=args.wedge_timeout)
     except StorageError as exc:
@@ -431,8 +438,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_consistent(args: argparse.Namespace) -> int:
     onto = _load_ontology(args.ontology, args.dl)
     data = _load_instance(args.data)
-    engine = CertainEngine(onto, backend=args.backend,
-                           preflight=args.preflight)
+    engine = CertainEngine(onto, **_evaluation_options(args))
     budget = _build_budget(args)
     tracer = _build_tracer(args)
     try:
@@ -747,6 +753,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "evaluation (inspect with 'repro trace "
                             "summarize FILE')")
 
+    def add_evaluation_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--backend", choices=BACKENDS,
+                       default=argparse.SUPPRESS, help="default auto")
+        p.add_argument("--preflight", action="store_true",
+                       default=argparse.SUPPRESS, help="lint the input first")
+
     def add_cache_args(p: argparse.ArgumentParser) -> None:
         # One setting, two spellings: --cache-dir DIR is --cache-backend
         # dir:DIR, and giving both is a usage error (exit 2).
@@ -776,10 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--query-file", metavar="FILE",
                         help="file with one query per line (#-comments ok)")
     p_eval.add_argument("--dl", action="store_true")
-    p_eval.add_argument("--backend", choices=["auto", "chase", "sat"],
-                        default="auto")
-    p_eval.add_argument("--preflight", action="store_true",
-                        help="lint the workload before evaluating")
+    add_evaluation_args(p_eval)
     add_budget_args(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -793,10 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (default 1: in-process)")
     p_batch.add_argument("--dl", action="store_true")
-    p_batch.add_argument("--backend", choices=["auto", "chase", "sat"],
-                         default="auto")
-    p_batch.add_argument("--preflight", action="store_true",
-                         help="lint ontology and workloads before evaluating")
+    add_evaluation_args(p_batch)
     p_batch.add_argument("--retry", metavar="SPEC",
                          help="retry policy, e.g. "
                               "'attempts=3,backoff=0.05,escalation=2' "
@@ -812,17 +818,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead of recomputing them")
     add_cache_args(p_batch)
     p_batch.add_argument("--fastpath", choices=FASTPATH_MODES,
-                         default="off",
+                         default=argparse.SUPPRESS,
                          help="compile statically-verified datalog-fastpath "
                               "plans for PTIME-classified OMQs (auto: gate "
-                              "on the Figure-1 DICHOTOMY band + Horn)")
+                              "on the Figure-1 DICHOTOMY band + Horn; "
+                              "default off)")
     add_budget_args(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = sub.add_parser(
         "serve", help="long-lived serving daemon: JSON HTTP API with "
                       "admission control, backpressure and graceful "
-                      "drain (see docs/serving.md)")
+                      "drain (see docs/serving.md)",
+        description="A job set evaluates as under 'repro batch', unless "
+                    "its submission's options set backend, preflight, "
+                    "chase_depth, sat_extra, fastpath (off, auto) or a "
+                    "budget; a value compile_omq refuses gets 400.")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0, metavar="PORT",
                          help="0 picks a free port (printed on stdout)")
@@ -837,13 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "job sets are re-created, finished jobs are "
                               "not recomputed")
     add_cache_args(p_serve)
-    p_serve.add_argument("--backend", choices=["auto", "chase", "sat"],
-                         default="auto")
-    p_serve.add_argument("--fastpath", choices=FASTPATH_MODES,
-                         default="auto",
-                         help="datalog-fastpath plans for PTIME-classified "
-                              "OMQs (default auto — the daemon serves "
-                              "mixed traffic)")
     p_serve.add_argument("--retry", metavar="SPEC",
                          help="retry policy for transient failures, e.g. "
                               "'attempts=3,backoff=0.05'")
@@ -871,10 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("ontology")
     p_cons.add_argument("data")
     p_cons.add_argument("--dl", action="store_true")
-    p_cons.add_argument("--backend", choices=["auto", "chase", "sat"],
-                        default="auto")
-    p_cons.add_argument("--preflight", action="store_true",
-                        help="lint the workload before checking")
+    add_evaluation_args(p_cons)
     add_budget_args(p_cons)
     p_cons.set_defaults(func=cmd_consistent)
 

@@ -16,8 +16,9 @@ memory stays bounded no matter how fast clients submit.
 
 Those are the only limits: a submission is refused while the daemon
 drains, when the queue cannot hold it, or above high water when it is
-hard-band.  Per-client figures (:class:`ClientAccount`) are accounting
-for ``/metrics`` and ``GET /v1/jobsets``, not quotas — the ``X-Client``
+hard-band — and for good when it has more jobs than the whole queue.
+Per-client figures (:class:`ClientAccount`) are accounting for
+``/metrics`` and ``GET /v1/jobsets``, not quotas — the ``X-Client``
 header they key on is the client's own choice.
 
 Everything is thread-safe (one lock per controller).
@@ -61,7 +62,7 @@ class Decision:
     """The controller's verdict on one submission."""
 
     accepted: bool
-    status: int = 202  # HTTP status: 202 accepted, 429/503 shed
+    status: int = 202  # HTTP: 202 accepted, 429/503 shed, 413 never fits
     reason: str = ""
     retry_after: float | None = None
 
@@ -80,6 +81,8 @@ class AdmissionController:
 
     Capacity is counted in **jobs** (queued plus running), not jobsets —
     a thousand-job submission weighs a thousand times a one-job probe.
+    A submission of more jobs than ``max_queued_jobs`` could never be
+    admitted, so it is refused first with 413 and no ``Retry-After``.
     The shedding ladder, cheapest signal first:
 
     1. **draining** — 503: the daemon is going away;
@@ -122,6 +125,11 @@ class AdmissionController:
         """Admit or shed a submission of *jobs* jobs in *band*."""
         if jobs < 1:
             return Decision(False, 400, "a submission needs at least one job")
+        if jobs > self.max_queued_jobs:
+            return Decision(
+                False, 413, f"a submission of {jobs} jobs can never fit the "
+                            f"admission queue ({self.max_queued_jobs} jobs); "
+                            f"split it")
         with self._lock:
             account = self._client(client)
             if self.draining:

@@ -53,16 +53,11 @@ from ..serving.cache import AnswerCache, conversion_cache_stats
 from ..storage.base import open_backend
 from ..serving.fingerprint import fingerprint_ontology
 from ..serving.metrics import MetricsRegistry, render_prometheus
-from ..serving.plan import FASTPATH_MODES, classify_band, plan_cache_stats
+from ..serving.plan import check_options, classify_band, plan_cache_stats
 from .admission import RETRY_AFTER, AdmissionController
 from .state import (
     CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobSet, JobSetStore,
 )
-
-#: Submission options forwarded verbatim to :func:`evaluate_batch`.
-_ALLOWED_OPTIONS = ("backend", "fastpath", "preflight", "chase_depth",
-                    "sat_extra", "budget")
-
 
 class RequestError(ValueError):
     """A malformed submission; rendered as HTTP 400."""
@@ -93,9 +88,6 @@ class ReproServer:
         journal: str | None = None,
         resume: bool = False,
         cache_backend: str | None = None,
-        backend: str = "auto",
-        fastpath: str = "auto",
-        preflight: bool = False,
         retry: RetryPolicy | None = None,
         max_queued_jobs: int = 256,
         high_water: float = 0.5,
@@ -111,12 +103,6 @@ class ReproServer:
         # One durable-tier URI for both the daemon's own AnswerCache and
         # the worker processes (each opens its own handle on it).
         self.cache_uri = cache_backend
-        if fastpath not in FASTPATH_MODES:
-            raise ValueError(f"fastpath must be "
-                             f"{' or '.join(FASTPATH_MODES)}, "
-                             f"got {fastpath!r}")
-        self.defaults = {"backend": backend, "fastpath": fastpath,
-                         "preflight": preflight}
         self.retry = retry
         self.wedge_timeout = wedge_timeout
         self.watchdog_interval = watchdog_interval
@@ -221,8 +207,9 @@ class ReproServer:
     def _resume_from_journal(self) -> None:
         """Re-create every journaled job set; finished jobs replay, the
         interrupted suffix recomputes.  Submission order is preserved.  A
-        job set journaled with ``fastpath: force`` (no longer accepted)
-        recomputes in full under ``auto``."""
+        job set journaled with evaluation options that :func:`check_options`
+        now refuses (an older daemon took ``fastpath: force`` and coerced
+        strings) is re-adopted without them and recomputes in full."""
         assert self.journal is not None
         pending: list[JobSet] = []
         by_id: dict[str, JobSet] = {}
@@ -233,14 +220,16 @@ class ReproServer:
                 payload = record.get("payload", {})
                 options = (payload.get("options")
                            if isinstance(payload, dict) else None)
-                if (isinstance(options, dict)
-                        and options.get("fastpath") == "force"):
-                    # An older daemon accepted "force", which skipped the
-                    # static PTIME proof: the whole job set runs again
-                    # under "auto" rather than replay what force answered.
-                    payload = {**payload,
-                               "options": {**options, "fastpath": "auto"}}
-                    rerun.add(record.get("id"))
+                if isinstance(options, dict):
+                    try:
+                        check_options({k: v for k, v in options.items()
+                                       if k != "budget"})
+                    except ValueError:
+                        # What those options answered is not served again.
+                        payload = {**payload, "options": {
+                            k: v for k, v in options.items()
+                            if k == "budget"}}
+                        rerun.add(record.get("id"))
                 try:
                     jobset = self._build_jobset(
                         payload, jobset_id=record["id"],
@@ -267,6 +256,7 @@ class ReproServer:
         for jobset in pending:
             self.store.add(jobset)
             if jobset.status == CANCELLED:
+                self.store.finish(jobset)
                 continue
             self.admission.adopt(jobset.client, len(jobset.jobs))
             with self._cond:
@@ -293,26 +283,17 @@ class ReproServer:
             raise RequestError(
                 "jobs must carry inline 'facts'; server-side 'data' file "
                 "paths are not accepted over the API")
-        options = dict(self.defaults)
         extra = payload.get("options", {})
         if not isinstance(extra, dict):
             raise RequestError("'options' must be an object")
-        for key in extra:
-            if key not in _ALLOWED_OPTIONS:
-                raise RequestError(
-                    f"unknown option {key!r} (allowed: "
-                    f"{', '.join(_ALLOWED_OPTIONS)})")
-        options.update(extra)
-        fastpath = options.get("fastpath")
-        if fastpath not in FASTPATH_MODES:
-            raise RequestError(f"options.fastpath must be "
-                               f"{' or '.join(FASTPATH_MODES)}, "
-                               f"got {fastpath!r}")
-        if "budget" in options:
-            try:
-                Budget.from_spec(str(options["budget"]))
-            except ValueError as exc:
-                raise RequestError(f"options.budget: {exc}") from exc
+        options = dict(extra)
+        budget = options.pop("budget", None)  # the daemon's, not compile's
+        try:
+            check_options(options)
+            if budget is not None:
+                Budget.from_spec(str(budget))
+        except ValueError as exc:
+            raise RequestError(f"options: {exc}") from exc
         deadline = payload.get("deadline")
         if deadline is not None:
             try:
@@ -330,7 +311,7 @@ class ReproServer:
             payload={"ontology": text, "dl": dl,
                      "jobs": payload.get("jobs"),
                      "options": extra, "deadline": deadline},
-            options=options, deadline=deadline,
+            options=options, budget=budget, deadline=deadline,
             submitted=self._clock(),
         )
 
@@ -378,6 +359,7 @@ class ReproServer:
                 pass
             self._cond.notify_all()
         self.admission.release(jobset.client, len(jobset.jobs))
+        self.store.finish(jobset)
         self._journal_append({"kind": "jobset-cancelled",
                               "jobset": jobset.id})
         self.metrics.counter("server.jobsets_cancelled").inc()
@@ -402,10 +384,8 @@ class ReproServer:
     def _jobset_budget(self, jobset: JobSet) -> Budget | None:
         """The evaluation budget: the submission's ``options.budget``
         spec, clamped by whatever remains of its deadline."""
-        budget: Budget | None = None
-        spec = jobset.options.get("budget")
-        if spec:
-            budget = Budget.from_spec(str(spec))
+        budget = (Budget.from_spec(str(jobset.budget)) if jobset.budget
+                  else None)
         remaining = jobset.deadline_remaining(self._clock())
         if remaining is not None:
             if budget is None:
@@ -433,7 +413,6 @@ class ReproServer:
             self.metrics.counter("server.jobsets_failed").inc()
             self._finish(jobset)
             return
-        options = jobset.options
 
         def on_result(key: str, result) -> None:
             jobset.completed_jobs += 1
@@ -449,17 +428,13 @@ class ReproServer:
                 jobset.onto, jobset.jobs,
                 workers=self.workers,
                 budget=self._jobset_budget(jobset),
-                backend=options.get("backend", "auto"),
-                preflight=bool(options.get("preflight", False)),
-                chase_depth=int(options.get("chase_depth", 6)),
-                sat_extra=int(options.get("sat_extra", 3)),
                 cache_backend=self.cache_uri,
                 answer_cache=self.answer_cache,
                 retry=self.retry,
-                fastpath=options.get("fastpath", "auto"),
                 pool=self.pool,
                 on_result=on_result,
                 resume_results=jobset.resume_results or None,
+                **jobset.options,
             )
         except Exception as exc:  # never let one job set kill the daemon
             jobset.status = FAILED
@@ -474,9 +449,10 @@ class ReproServer:
 
     def _finish(self, jobset: JobSet) -> None:
         # Nothing reads the parsed ontology after the run; the store keeps
-        # the job set (and its report) for the daemon's life.
+        # the job set (and its report) until MAX_FINISHED later ones finish.
         jobset.onto = None
         jobset.finished = self._clock()
+        self.store.finish(jobset)
         elapsed = jobset.finished - (jobset.started or jobset.finished)
         self.metrics.histogram("server.jobset_seconds").observe(elapsed)
         self.admission.release(jobset.client, len(jobset.jobs),

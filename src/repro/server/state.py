@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +34,12 @@ CANCELLED = "cancelled"
 
 LIVE_STATES = (QUEUED, RUNNING)
 
+#: Finished job sets the store keeps for ``GET /v1/jobsets/ID/result``;
+#: the earliest-finished one goes first.  A finished one-job job set
+#: holds about 5.5 KB, report included, so this caps them at ~5.6 MB, and
+#: a client has 1,024 later finishes' time to collect its result.
+MAX_FINISHED = 1024
+
 
 @dataclass
 class JobSet:
@@ -45,7 +52,8 @@ class JobSet:
     onto: Ontology | None  # released (None) once the job set finishes
     jobs: list[Job]
     payload: dict[str, Any]  # the journalable raw submission body
-    options: dict[str, Any] = field(default_factory=dict)
+    options: dict[str, Any] = field(default_factory=dict)  # evaluation
+    budget: Any = None  # options.budget, a Budget.from_spec spec
     deadline: float | None = None  # seconds from submission, queue wait included
     submitted: float = field(default_factory=time.monotonic)
     started: float | None = None
@@ -85,12 +93,14 @@ class JobSet:
 
 
 class JobSetStore:
-    """Thread-safe registry of every job set this daemon has seen."""
+    """Thread-safe registry of the job sets this daemon serves: every live
+    one, and the :data:`MAX_FINISHED` that finished last.  An evicted id
+    reads like an unknown one."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_id: dict[str, JobSet] = {}
-        self._order: list[str] = []
+        self._by_id: dict[str, JobSet] = {}  # in submission order
+        self._finished: deque[str] = deque()  # in finishing order
         self._seq = 0
 
     def next_id(self, fingerprint: str) -> str:
@@ -114,7 +124,14 @@ class JobSetStore:
     def add(self, jobset: JobSet) -> None:
         with self._lock:
             self._by_id[jobset.id] = jobset
-            self._order.append(jobset.id)
+
+    def finish(self, jobset: JobSet) -> None:
+        """Record that *jobset* reached a terminal state; evicts the
+        earliest-finished job sets past :data:`MAX_FINISHED`."""
+        with self._lock:
+            self._finished.append(jobset.id)
+            while len(self._finished) > MAX_FINISHED:
+                self._by_id.pop(self._finished.popleft(), None)
 
     def get(self, jobset_id: str) -> JobSet | None:
         with self._lock:
@@ -122,7 +139,7 @@ class JobSetStore:
 
     def all(self) -> list[JobSet]:
         with self._lock:
-            return [self._by_id[jid] for jid in self._order]
+            return list(self._by_id.values())
 
     def live_count(self) -> int:
         with self._lock:

@@ -48,7 +48,7 @@ from ..storage.base import StorageBackend, open_backend
 from .cache import AnswerCache, conversion_cache_stats
 from .fingerprint import fingerprint_ontology
 from .metrics import Histogram
-from .plan import compile_omq
+from .plan import check_options, compile_omq
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,9 @@ def _execute_job(
     options: dict[str, Any],
     answer_cache: AnswerCache | None,
 ) -> JobResult:
-    """Run one job in the current process (shared by serial and worker paths)."""
+    """Run one job in the current process (shared by serial and worker
+    paths).  ``options["compile"]`` holds the evaluation options the
+    batch's caller set, forwarded to :func:`compile_omq` as they are."""
     start = time.perf_counter()
 
     def failed(reason: str, status: str = "error") -> JobResult:
@@ -280,14 +282,7 @@ def _execute_job(
             span.set(status="error")
             return failed(f"data: {exc}")
         try:
-            plan = compile_omq(
-                onto, job.query,
-                backend=options.get("backend", "auto"),
-                preflight=options.get("preflight", False),
-                chase_depth=options.get("chase_depth", 6),
-                sat_extra=options.get("sat_extra", 3),
-                fastpath=options.get("fastpath", "off"),
-            )
+            plan = compile_omq(onto, job.query, **options["compile"])
         except (QueryError, ValueError) as exc:
             span.set(status="error")
             return failed(f"query: {exc}")
@@ -546,10 +541,6 @@ def evaluate_batch(
     jobs: Sequence[Job],
     workers: int = 1,
     budget: Budget | None = None,
-    backend: str = "auto",
-    preflight: bool = False,
-    chase_depth: int = 6,
-    sat_extra: int = 3,
     cache_backend: str | None = None,
     answer_cache: AnswerCache | None = None,
     tracer: Tracer | None = None,
@@ -557,10 +548,10 @@ def evaluate_batch(
     journal: str | Path | None = None,
     resume: bool = False,
     max_pool_deaths: int = 5,
-    fastpath: str = "off",
     pool: PoolSupervisor | None = None,
     on_result: "Any | None" = None,
     resume_results: "dict[str, dict] | None" = None,
+    **options: Any,
 ) -> BatchReport:
     """Evaluate a workload of (instance, query) jobs against one ontology.
 
@@ -593,10 +584,14 @@ def evaluate_batch(
     reports whether any process's write circuit breaker tripped during
     the batch (also logged once as a ``storage.breaker`` span).
 
-    *fastpath* (``off`` or ``auto``) is forwarded to
-    :func:`~repro.serving.plan.compile_omq`; jobs whose plan upgraded to
-    ``datalog-fastpath`` record ``path="fastpath"`` in their results and
-    the report counts paths under ``stats["paths"]``.
+    The evaluation *options* (``backend``, ``preflight``, ``chase_depth``,
+    ``sat_extra``, ``fastpath``) are checked once, before any job runs
+    (:func:`~repro.serving.plan.check_options`: ``ValueError``), and
+    forwarded to :func:`~repro.serving.plan.compile_omq`, whose defaults
+    hold for every option left out.  Jobs whose plan upgraded to
+    ``datalog-fastpath`` (``fastpath="auto"``) record ``path="fastpath"``
+    in their results and the report counts paths under
+    ``stats["paths"]``.
 
     The last three parameters exist for long-lived embedders (the
     ``repro serve`` daemon): *pool* is an externally-owned
@@ -615,17 +610,14 @@ def evaluate_batch(
     back with each result; the driver merges them in job order, so span
     counts match between ``workers=1`` and ``workers=N``.
     """
+    check_options(options)
     if tracer is None:
         tracer = current_tracer()
     if not jobs:
         return BatchReport(results=[], stats={"jobs": 0, "workers": workers})
     wall_start = time.perf_counter()
-    options = {
-        "backend": backend, "preflight": preflight,
-        "chase_depth": chase_depth, "sat_extra": sat_extra,
-        "cache_backend": cache_backend, "trace": tracer.enabled,
-        "fastpath": fastpath,
-    }
+    job_options = {"compile": options, "cache_backend": cache_backend,
+                   "trace": tracer.enabled}
 
     keys = {idx: job_key(idx, job) for idx, job in enumerate(jobs)}
     onto_fp = fingerprint_ontology(onto)
@@ -705,7 +697,7 @@ def evaluate_batch(
         storage = open_backend(cache_backend)
         owns_storage = True
 
-    runner = _BatchRunner(onto, jobs, options, budgets, tracer, cache,
+    runner = _BatchRunner(onto, jobs, job_options, budgets, tracer, cache,
                           pool_supervisor, retry, jrnl, keys,
                           on_result=on_result)
     supervisor = Supervisor(retry, runner.execute_wave,

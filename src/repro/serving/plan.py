@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..logic.instance import Interpretation
 from ..logic.ontology import Ontology
@@ -330,8 +330,33 @@ def classify_band(onto: Ontology) -> tuple[str, str]:
 
 _plan_cache = LRUCache(maxsize=64)
 
+#: The accepted values of ``compile_omq(backend=...)``, and the choices of
+#: every CLI ``--backend`` flag.
+BACKENDS = ("auto", "chase", "sat")
 #: The accepted values of ``compile_omq(fastpath=...)``.
 FASTPATH_MODES = ("off", "auto")
+#: The evaluation options, named as :func:`compile_omq`'s parameters (whose
+#: defaults are the only ones): what each accepts, and the test for it.
+_OPTIONS = {
+    "backend": (" or ".join(BACKENDS), BACKENDS.__contains__),
+    "preflight": ("true or false", lambda v: type(v) is bool),
+    "chase_depth": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "sat_extra": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "fastpath": (" or ".join(FASTPATH_MODES), FASTPATH_MODES.__contains__),
+}
+
+
+def check_options(options: Mapping[str, Any]) -> None:
+    """Raise ``ValueError``, naming what is accepted, unless
+    :func:`compile_omq` takes all these evaluation options.  The one check
+    of ``compile_omq``, ``evaluate_batch`` and the daemon's submissions."""
+    for name, value in options.items():
+        accepted, accepts = _OPTIONS.get(name, ("", None))
+        if accepts is None:
+            raise ValueError(f"unknown evaluation option {name!r} "
+                             f"(evaluation options: {', '.join(_OPTIONS)})")
+        if not accepts(value):
+            raise ValueError(f"{name} must be {accepted}, got {value!r}")
 
 
 def clear_plan_cache() -> None:
@@ -361,18 +386,24 @@ def compile_omq(
     memoized plan is shared by every caller and never mutated on a memo
     hit; an answer cache is passed to :meth:`CompiledOMQ.evaluate`.
 
+    These parameters hold the only defaults of the evaluation options:
+    ``evaluate_batch``, ``repro batch`` and ``repro serve`` pass on only
+    what their caller sets, and :func:`check_options` refuses a bad name
+    or value, here and at each of them.
+
     *fastpath* gates the ``datalog-fastpath`` plan kind (see the module
-    docstring): ``"off"`` (default — on the example ontologies the type
-    enumeration costs 0.03-0.25 s per OMQ and the whole compile up to
-    2.3 s, on a 2-core x86_64 VM, so it is opt-in) or ``"auto"`` (attempt
-    the fast path, but only after a cheap static PTIME proof: Figure-1
-    DICHOTOMY band + Horn).  There is no way to skip that proof: outside
-    the PTIME band the rewriting over-approximates, and its answers would
-    reach every caller sharing an answer cache.
+    docstring): ``"off"`` (the default of every entry point: the fast-path
+    compile pays back only over many evaluations of instances of about a
+    hundred facts or more, see ``fastpath_crossover`` in
+    ``benchmarks/bench_serving.py``) or ``"auto"`` (attempt the fast
+    path, but only after a cheap static PTIME proof: Figure-1 DICHOTOMY
+    band + Horn).  There is no way to skip that proof: outside the PTIME
+    band the rewriting over-approximates, and its answers would reach
+    every caller sharing an answer cache.
     """
-    if fastpath not in FASTPATH_MODES:
-        raise ValueError(f"fastpath must be {' or '.join(FASTPATH_MODES)}, "
-                         f"got {fastpath!r}")
+    check_options({"backend": backend, "preflight": preflight,
+                   "chase_depth": chase_depth, "sat_extra": sat_extra,
+                   "fastpath": fastpath})
     with current_tracer().span("plan.compile", backend=str(backend)) as span:
         if isinstance(query, str):
             if preflight:

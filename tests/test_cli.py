@@ -456,3 +456,17 @@ class TestChaosCli:
         assert main(["chaos", "generate", "--seed", "1",
                      "--family", "horn", "--inconsistency", "0.5"]) == 2
         assert "disjointness" in capsys.readouterr().err
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("flag", [["--fastpath", "auto"],
+                                      ["--backend", "sat"]])
+    def test_serve_has_no_evaluation_flags(self, flag, capsys):
+        # The daemon has no evaluation defaults of its own: a job set's
+        # options travel in its submission, never on the command line.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--port", "0", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

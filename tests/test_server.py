@@ -18,7 +18,10 @@ from repro.logic.ontology import ontology
 from repro.server import (
     BAND_HARD, BAND_PTIME, AdmissionController, ReproServer, classify_band,
 )
-from repro.server.state import CANCELLED, DONE, FAILED, RUNNING, JobSetStore
+from repro.server.state import (
+    CANCELLED, DONE, FAILED, MAX_FINISHED, QUEUED, RUNNING, JobSet,
+    JobSetStore,
+)
 from repro.serving import comparable_report, evaluate_batch, jobs_from_entries
 
 # A Horn ontology inside the Figure-1 DICHOTOMY band: statically PTIME.
@@ -29,6 +32,21 @@ HARD_ONTO = "forall x (x = x -> (C(x) -> (A(x) | B(x))))"
 
 PTIME_JOBS = [{"query": "q(x) <- Finger(x)", "facts": ["Thumb(t)"]}]
 HARD_JOBS = [{"query": "q(x) <- A(x)", "facts": ["C(c)"]}]
+
+# Evaluation options that compile_omq refuses: unknown names, and values
+# that an older daemon coerced (int(), bool()) or forwarded unchecked.
+MALFORMED_OPTIONS = [
+    {"sneaky": 1},
+    {"backend": "bogus"},
+    {"preflight": "no"},
+    {"chase_depth": "abc"},
+    {"chase_depth": "6"},
+    {"chase_depth": -1},
+    {"chase_depth": True},
+    {"sat_extra": -5},
+    {"fastpath": "force"},
+    {"budget": "bogus=1"},
+]
 
 
 class FakeClock:
@@ -150,6 +168,28 @@ def test_admission_empty_submission_is_400():
     assert make_controller().admit("a", 0, BAND_PTIME).status == 400
 
 
+def test_admission_refuses_a_submission_larger_than_the_queue_with_413():
+    # More jobs than the whole queue can never be admitted: a 429 with
+    # Retry-After would have the client retry forever, even on an empty
+    # queue and while draining.
+    ctl = AdmissionController(max_queued_jobs=256)
+    before = ctl.snapshot()
+    for draining in (False, True):
+        if draining:
+            ctl.start_drain()
+        decision = ctl.admit("a", 300, BAND_PTIME)
+        assert decision.status == 413 and not decision.accepted
+        assert decision.retry_after is None
+        assert "256 jobs" in decision.reason
+        assert "retry_after" not in decision.to_dict()
+    after = ctl.snapshot()
+    assert after["queued_jobs"] == 0
+    assert after["shed"] == before["shed"]
+    assert ctl.admit("b", 300, BAND_HARD).status == 413
+    fresh = AdmissionController(max_queued_jobs=256)
+    assert fresh.admit("a", 256, BAND_PTIME).accepted  # exactly full fits
+
+
 # -- job-set store ------------------------------------------------------------
 
 
@@ -163,6 +203,36 @@ def test_store_ids_are_unique_and_resume_safe():
     store.adopt_id("js-notanum-zz")
 
 
+def _jobset(jobset_id, status=QUEUED):
+    jobset = JobSet(id=jobset_id, client="c", band=BAND_PTIME,
+                    band_detail="", onto=None, jobs=[], payload={})
+    jobset.status = status
+    return jobset
+
+
+def test_store_keeps_every_live_and_the_last_finished_jobsets():
+    srv = ReproServer()
+    store = srv.store
+    live = [_jobset("js-live-q"), _jobset("js-live-r", RUNNING)]
+    for jobset in live:
+        store.add(jobset)
+    finished = [_jobset(f"js-{n:06d}", DONE)
+                for n in range(MAX_FINISHED + 5)]
+    for jobset in finished:
+        store.add(jobset)
+        store.finish(jobset)
+    counts = store.counts()
+    assert counts[DONE] == MAX_FINISHED
+    assert counts[QUEUED] == 1 and counts[RUNNING] == 1
+    assert all(store.get(js.id) is js for js in live)
+    # The earliest-finished go first, and an evicted id reads as unknown.
+    assert [store.get(js.id) for js in finished[:5]] == [None] * 5
+    assert srv.jobset_result(finished[0].id)[0] == 404
+    assert srv.jobset_status(finished[0].id)[0] == 404
+    assert store.get(finished[5].id) is finished[5]
+    assert len(store.all()) == MAX_FINISHED + len(live)
+
+
 # -- the in-process daemon over HTTP ------------------------------------------
 
 
@@ -172,7 +242,6 @@ def server(request, tmp_path):
     servers = []
 
     def start(**kw):
-        kw.setdefault("fastpath", "auto")
         srv = ReproServer(**kw)
         srv.start()
         servers.append(srv)
@@ -296,8 +365,9 @@ def test_keep_alive_responses_are_not_held_back(server):
     assert median_ms < 20, median_ms
 
 
-def test_bad_submissions_are_400(server):
-    srv = server()
+def test_bad_submissions_are_400(server, tmp_path):
+    journal = tmp_path / "serve.jsonl"
+    srv = server(journal=str(journal))
     cases = [
         "{not json",
         {"jobs": PTIME_JOBS},  # no ontology
@@ -306,22 +376,70 @@ def test_bad_submissions_are_400(server):
         {"ontology": PTIME_ONTO, "jobs": [{"facts": ["A(a)"]}]},  # no query
         {"ontology": PTIME_ONTO,  # server-side paths refused
          "jobs": [{"query": "q(x) <- A(x)", "data": "/etc/passwd"}]},
-        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS,
-         "options": {"sneaky": 1}},
-        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS,
-         "options": {"budget": "bogus=1"}},
         {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "deadline": -1},
         {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "deadline": "soon"},
-        # A forced fast path would skip the static PTIME proof, and its
-        # answers would land in the answer cache every client shares.
-        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS,
-         "options": {"fastpath": "force"}},
+        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "options": []},
+    ] + [
+        # Every malformed evaluation option is refused where it enters,
+        # never coerced: a forced fast path would skip the static PTIME
+        # proof, and bool("no") is True.
+        {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS, "options": options}
+        for options in MALFORMED_OPTIONS
     ]
     for payload in cases:
         status, body, _ = api(srv, "POST", "/v1/jobsets", payload)
         assert status == 400, payload
         assert "error" in body
     assert api(srv, "GET", "/v1/jobsets")[1]["jobsets"] == []
+    assert srv.admission.snapshot()["queued_jobs"] == 0
+    srv.stop()
+    kinds = [json.loads(line).get("kind")
+             for line in journal.read_text().splitlines()]
+    assert kinds == ["journal-header"]  # nothing journaled
+
+
+def test_served_jobs_evaluate_like_repro_batch(server):
+    # The daemon has no evaluation defaults of its own: without options a
+    # PTIME-band unary job set runs on the ladder, as `repro batch` does,
+    # and options.fastpath "auto" opts into the Theorem 5 fast path.
+    onto = (REPO / "examples" / "ontologies" / "transport.gf").read_text()
+    entries = json.loads(
+        (REPO / "examples" / "workloads" / "fastpath.json").read_text())
+    reports = []
+    for options in ({}, {"fastpath": "auto"}):
+        srv = server()
+        payload = {"ontology": onto, "jobs": entries}
+        if options:
+            payload["options"] = options
+        status, accepted, _ = api(srv, "POST", "/v1/jobsets", payload)
+        assert status == 202 and accepted["band"] == BAND_PTIME
+        result = wait_terminal(srv, accepted["id"])
+        assert result["status"] == DONE
+        reports.append(result["report"])
+        srv.stop()
+    default, auto = ({job["id"]: job for job in report["jobs"]}
+                     for report in reports)
+    assert comparable_report(reports[0]) == comparable_report(reports[1])
+    assert {job["path"] for job in default.values()} <= {"ladder", "cache"}
+    for job_id in ("nodes-closure", "hubs", "terminals"):
+        assert default[job_id]["path"] == "ladder"
+        assert auto[job_id]["path"] == "fastpath"
+
+
+def test_submission_larger_than_the_queue_is_413_without_retry_after(
+        server):
+    srv = server(max_queued_jobs=2)
+    status, body, headers = api(srv, "POST", "/v1/jobsets", {
+        "ontology": PTIME_ONTO, "jobs": PTIME_JOBS * 3})
+    assert status == 413
+    assert "Retry-After" not in headers
+    assert "(2 jobs)" in body["reason"]
+    assert srv.store.all() == []
+    assert srv.admission.snapshot()["queued_jobs"] == 0
+    status, accepted, _ = api(srv, "POST", "/v1/jobsets", {
+        "ontology": PTIME_ONTO, "jobs": PTIME_JOBS * 2})
+    assert status == 202
+    assert wait_terminal(srv, accepted["id"])["status"] == DONE
 
 
 def test_queue_full_returns_429_with_retry_after(server):
@@ -538,11 +656,28 @@ def test_daemon_resume_skips_cancelled_jobsets(tmp_path, server):
     assert status == 200 and body["status"] == CANCELLED
 
 
-def test_resume_reruns_a_journaled_force_jobset_under_auto(tmp_path, server):
+def write_journal(path, jobsets, results=()):
+    """A daemon journal holding *jobsets* (id, ontology, jobs, band,
+    options) and *results* (jobset id, job key, JobResult)."""
+    from repro.resilience import Journal
+
+    with Journal(path) as log:
+        for jobset_id, onto, jobs, band, options in jobsets:
+            log.append({"kind": "jobset", "id": jobset_id, "client": "test",
+                        "band": band,
+                        "payload": {"ontology": onto, "dl": False,
+                                    "jobs": jobs, "options": options,
+                                    "deadline": None}})
+        for jobset_id, key, result in results:
+            log.append({"kind": "job-result", "jobset": jobset_id,
+                        "key": key, "result": result.to_dict()})
+
+
+def test_resume_reruns_a_journaled_force_jobset_under_the_defaults(
+        tmp_path, server):
     # A journal from a daemon that still accepted options.fastpath
     # "force": a forced hard-band job set with one journaled (wrong)
     # answer, then an ordinary job set.
-    from repro.resilience import Journal
     from repro.serving import JobResult, job_key
 
     journal = str(tmp_path / "serve.jsonl")
@@ -551,25 +686,19 @@ def test_resume_reruns_a_journaled_force_jobset_under_auto(tmp_path, server):
                       query=forced_job.query, data=forced_job.data_ref(),
                       status="ok", verdict="ok", answers=(("c",),),
                       path="fastpath")
-    with Journal(journal) as log:
-        for jobset_id, onto, jobs, band, options in (
-                ("js-000001-forced", HARD_ONTO, HARD_JOBS, BAND_HARD,
-                 {"fastpath": "force"}),
-                ("js-000002-plain", PTIME_ONTO, PTIME_JOBS, BAND_PTIME, {})):
-            log.append({"kind": "jobset", "id": jobset_id, "client": "test",
-                        "band": band,
-                        "payload": {"ontology": onto, "dl": False,
-                                    "jobs": jobs, "options": options,
-                                    "deadline": None}})
-        log.append({"kind": "job-result", "jobset": "js-000001-forced",
-                    "key": job_key(0, forced_job), "result": wrong.to_dict()})
+    write_journal(
+        journal,
+        [("js-000001-forced", HARD_ONTO, HARD_JOBS, BAND_HARD,
+          {"fastpath": "force"}),
+         ("js-000002-plain", PTIME_ONTO, PTIME_JOBS, BAND_PTIME, {})],
+        [("js-000001-forced", job_key(0, forced_job), wrong)])
 
     srv = server(journal=journal, resume=True)
     forced = wait_terminal(srv, "js-000001-forced")
     assert forced["status"] == DONE and forced["resumed"] is True
     [job] = forced["report"]["jobs"]
-    # Recomputed under "auto": no static PTIME proof, so the ladder
-    # answers, and C(c) does not make A(c) certain.
+    # Recomputed without its options, on the ladder, and C(c) does not
+    # make A(c) certain.
     assert job["answers"] == [] and job["path"] == "ladder"
     assert not job.get("resumed")
     plain = wait_terminal(srv, "js-000002-plain")
@@ -577,11 +706,35 @@ def test_resume_reruns_a_journaled_force_jobset_under_auto(tmp_path, server):
     assert plain["report"]["jobs"][0]["answers"] == [["t"]]
 
 
-def test_daemon_default_fastpath_is_checked():
-    # A bad default would make every submission a 400 about an option
-    # its client never sent.
-    with pytest.raises(ValueError, match="off or auto"):
-        ReproServer(fastpath="force")
+def test_resume_reruns_a_jobset_journaled_with_coerced_options(
+        tmp_path, server):
+    # An older daemon accepted strings and coerced them: int("6") and
+    # bool("no"), which turned preflight on.  The check refuses both now,
+    # so the job set is re-adopted under the defaults and recomputed in
+    # full; its journaled answer (wrong on purpose) is not served again.
+    from repro.serving import JobResult, job_key
+
+    journal = str(tmp_path / "serve.jsonl")
+    jobs = [{"query": "q(x) <- Finger(x)", "facts": ["Thumb(t1)"]},
+            {"query": "q() <- Hand(y)", "facts": ["Thumb(t1)"]}]
+    first = jobs_from_entries(jobs)[0]
+    wrong = JobResult(index=0, job_id=first.job_id, query=first.query,
+                      data=first.data_ref(), status="ok", verdict="ok",
+                      answers=(("nobody",),))
+    write_journal(
+        journal,
+        [("js-000001-coerced", PTIME_ONTO, jobs, BAND_PTIME,
+          {"chase_depth": "6", "preflight": "no", "budget": "timeout=60"})],
+        [("js-000001-coerced", job_key(0, first), wrong)])
+
+    srv = server(journal=journal, resume=True)
+    result = wait_terminal(srv, "js-000001-coerced")
+    assert result["status"] == DONE and result["resumed"] is True
+    assert [j["answers"] for j in result["report"]["jobs"]] == [[["t1"]], []]
+    assert [j["verdict"] for j in result["report"]["jobs"]] == ["ok", "yes"]
+    assert not any(j.get("resumed") for j in result["report"]["jobs"])
+    jobset = srv.store.get("js-000001-coerced")
+    assert jobset.options == {} and jobset.budget == "timeout=60"
 
 
 # -- real-signal subprocess end-to-end ----------------------------------------
@@ -619,8 +772,7 @@ def serve_env(faults=None):
 def start_serve(args, faults=None):
     """Start ``repro serve`` and return (process, port)."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--fastpath", "off", *args],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=serve_env(faults), cwd=str(REPO))
     line = proc.stdout.readline()

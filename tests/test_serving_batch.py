@@ -144,6 +144,24 @@ class TestSerialBatch:
         assert text.count("\n") == 4  # one line per job + summary
 
 
+class TestOptionCheck:
+    @pytest.mark.parametrize("options", [
+        {"backend": "bogus"}, {"preflight": "no"}, {"chase_depth": "abc"},
+        {"chase_depth": -1}, {"chase_depth": True}, {"sat_extra": -5},
+        {"fastpath": "force"}, {"depth": 6},
+    ])
+    def test_malformed_option_raises_before_any_job(
+            self, monkeypatch, tmp_path, options):
+        ran = []
+        monkeypatch.setattr(batch_mod, "_execute_job",
+                            lambda *args: ran.append(args))
+        journal = tmp_path / "batch.jsonl"
+        with pytest.raises(ValueError):
+            evaluate_batch(HAND, hand_workload(2), journal=str(journal),
+                           **options)
+        assert ran == [] and not journal.exists()
+
+
 class TestParallelBatch:
     def test_jobs1_equals_jobs2_on_20_job_workload(self):
         jobs = hand_workload(20)

@@ -13,6 +13,7 @@ from repro.serving import (
     AnswerCache, clear_caches, compile_omq, parse_query, plan_cache_stats,
 )
 from repro.serving.fingerprint import fingerprint_instance
+from repro.serving.plan import BACKENDS, check_options
 
 HAND = ontology(
     "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))")
@@ -64,6 +65,44 @@ class TestCompileMemo:
         # OMQ012: answer variable without a body binding (error severity)
         with pytest.raises(LintError):
             compile_omq(HAND, "q(x) <- Hand(y)", preflight=True)
+
+
+# compile_omq parameters with values its one option check refuses: each
+# one was once coerced (int(), bool()) or forwarded unchecked by the
+# serving daemon.
+MALFORMED = [
+    ("backend", "bogus"),
+    ("preflight", "no"),
+    ("chase_depth", "abc"),
+    ("chase_depth", -1),
+    ("chase_depth", True),
+    ("sat_extra", -5),
+    ("fastpath", "force"),
+]
+
+
+class TestOptionCheck:
+    @pytest.mark.parametrize("name,value", MALFORMED)
+    def test_compile_refuses_a_malformed_option(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            compile_omq(HAND, HAND_QUERY, **{name: value})
+
+    def test_compile_takes_every_accepted_value(self):
+        for backend in BACKENDS:
+            assert compile_omq(HAND, HAND_QUERY, backend=backend)
+        plan = compile_omq(HAND, HAND_QUERY, preflight=True, chase_depth=0,
+                           sat_extra=0, fastpath="auto")
+        assert plan.evaluate(DATA).verdict == "ok"
+
+    def test_refusals_name_what_is_accepted(self):
+        with pytest.raises(ValueError, match="auto or chase or sat"):
+            check_options({"backend": "bogus"})
+        with pytest.raises(ValueError, match="an integer >= 0, got '6'"):
+            check_options({"chase_depth": "6"})
+        with pytest.raises(ValueError, match="unknown evaluation option "
+                                             "'depth' .*chase_depth"):
+            check_options({"depth": 6})
+        check_options({})
 
 
 class TestEvaluate:
