@@ -16,9 +16,10 @@ across a batch.  This bench measures both:
   spans must be free.  The smoke gate fails when an activated disabled
   tracer costs more than 5% over the un-activated baseline.
 * **journal overhead** — the crash-safe ``--journal`` appends one
-  JSONL record per finished job (an unbuffered atomic write, group
-  fsync at close); the smoke gate bounds its cost at 5% over the
-  journal-less batch, so durability is cheap enough to leave on.
+  JSONL record per finished job (an unbuffered atomic write, never
+  fsynced: resume recomputes whatever a machine crash loses); the smoke
+  gate bounds its cost at 5% over the journal-less batch, so durability
+  is cheap enough to leave on.
 * **datalog fast path** — for PTIME-classified OMQs ``compile_omq``
   can ship the Theorem 5 Datalog(≠) rewriting instead of the chase
   ladder (``fastpath="auto"``); the smoke gate asserts the fast path
@@ -232,7 +233,8 @@ def journal_overhead(repeats: int = 9) -> dict:
 
     Both passes run the same workload serially with cold answer caches;
     the second appends every finished job to a fresh JSONL journal (one
-    unbuffered ``os.write`` per record, one fsync at close).  The smoke
+    unbuffered ``os.write`` per record and no fsync, as
+    :func:`evaluate_batch` opens it).  The smoke
     gate bounds the ratio at 5% — durability must be cheap enough to
     leave on.  The passes are interleaved (:func:`_paired_best`) so
     machine drift cannot masquerade as journal cost.
@@ -252,9 +254,11 @@ def journal_overhead(repeats: int = 9) -> dict:
 
     def journaled():
         # A fresh path per pass, as in real use: every batch starts its
-        # own journal.  Reusing one path would O_TRUNC a file whose pages
-        # the previous close() fsynced — an expensive filesystem op no
-        # real batch performs, ~25x the cost of creating a new file.
+        # own journal.  Reusing one path would O_TRUNC the previous pass's
+        # file, and ext4 starts writeback of a truncated-then-rewritten
+        # file when it is closed (auto_da_alloc): ~40 ms per pass on an
+        # ext4 virtio disk, against ~11 us for a new file — a filesystem
+        # cost no real batch pays.
         clear_caches()
         evaluate_batch(ONTO, jobs, workers=1,
                        journal=os.path.join(tmpdir, f"b{next(counter)}.jsonl"))

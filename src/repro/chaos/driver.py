@@ -363,7 +363,7 @@ class ChaosDriver:
             result.faults = (faults,)
             code, report, stderr = self._run_batch(
                 family, "--jobs", "2", "--retry",
-                "attempts=3,backoff=0.01,crashes=2", faults=faults)
+                "attempts=3,crashes=2", faults=faults)
             if code != KILL_EXIT_CODE:
                 break
             hit *= 2

@@ -18,7 +18,7 @@ Commands:
   persists it) and an optional process pool; the report aggregates
   per-job outcomes and cache/latency stats (see ``docs/serving.md``).
   ``--retry SPEC`` re-dispatches transient failures and worker crashes
-  under escalated budgets (repeat crashers are quarantined);
+  at once under escalated budgets (repeat crashers are quarantined);
   ``--journal FILE`` records every finished job crash-safely and
   ``--resume`` replays it, so a killed batch picks up where it died.
 * ``serve`` — the daemon behind a JSON HTTP API (see ``docs/serving.md``).
@@ -161,6 +161,17 @@ def _build_budget(args: argparse.Namespace) -> Budget | None:
         budget.timeout = timeout
         budget.deadline = budget._start + timeout
     return budget
+
+
+def _retry_policy(spec: str):
+    """The ``--retry`` argument type: a bad spec is a usage error (exit
+    2) that names the accepted keys."""
+    from .resilience import RetryPolicy
+
+    try:
+        return RetryPolicy.from_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_tracer(args: argparse.Namespace) -> Tracer:
@@ -326,7 +337,6 @@ def _resolve_cache_backend(args: argparse.Namespace) -> str | None:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    from .resilience import RetryPolicy
     from .serving import evaluate_batch, load_workload
     from .storage import StorageError
 
@@ -335,12 +345,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise CliInputError("--resume requires --journal FILE")
     cache_backend = _resolve_cache_backend(args)
-    retry = None
-    if args.retry is not None:
-        try:
-            retry = RetryPolicy.from_spec(args.retry)
-        except ValueError as exc:
-            raise CliInputError(f"--retry: {exc}") from exc
     onto = _load_ontology(args.ontology, args.dl)
     try:
         jobs = load_workload(args.workload)
@@ -352,7 +356,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         report = evaluate_batch(
             onto, jobs, workers=args.jobs, budget=budget,
             cache_backend=cache_backend,
-            tracer=tracer, retry=retry,
+            tracer=tracer, retry=args.retry,
             journal=args.journal, resume=args.resume,
             **_evaluation_options(args))
     except (ValueError, StorageError) as exc:
@@ -381,7 +385,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .resilience import RetryPolicy
     from .server import ReproServer
     from .storage import StorageError
 
@@ -390,17 +393,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise CliInputError("--resume requires --journal FILE")
     cache_backend = _resolve_cache_backend(args)
-    retry = None
-    if args.retry is not None:
-        try:
-            retry = RetryPolicy.from_spec(args.retry)
-        except ValueError as exc:
-            raise CliInputError(f"--retry: {exc}") from exc
     try:
         server = ReproServer(
             host=args.host, port=args.port, workers=args.workers,
             journal=args.journal, resume=args.resume,
-            cache_backend=cache_backend, retry=retry,
+            cache_backend=cache_backend, retry=args.retry,
             max_queued_jobs=args.max_queue, high_water=args.high_water,
             wedge_timeout=args.wedge_timeout)
     except StorageError as exc:
@@ -759,6 +756,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preflight", action="store_true",
                        default=argparse.SUPPRESS, help="lint the input first")
 
+    def add_retry_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--retry", metavar="SPEC", type=_retry_policy,
+                       help="retry policy, e.g. "
+                            "'attempts=3,escalation=2,crashes=3' (keys: "
+                            "attempts, escalation, crashes); a job that ran "
+                            "out of budget or crashed reruns at once under a "
+                            "fresh escalated budget, a repeat crasher is "
+                            "quarantined")
+
     def add_cache_args(p: argparse.ArgumentParser) -> None:
         # One setting, two spellings: --cache-dir DIR is --cache-backend
         # dir:DIR, and giving both is a usage error (exit 2).
@@ -803,13 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default 1: in-process)")
     p_batch.add_argument("--dl", action="store_true")
     add_evaluation_args(p_batch)
-    p_batch.add_argument("--retry", metavar="SPEC",
-                         help="retry policy, e.g. "
-                              "'attempts=3,backoff=0.05,escalation=2' "
-                              "(keys: attempts, backoff, factor, "
-                              "max_backoff, jitter, escalation, crashes, "
-                              "seed); retried jobs get fresh escalated "
-                              "budgets, repeat crashers are quarantined")
+    add_retry_args(p_batch)
     p_batch.add_argument("--journal", metavar="FILE",
                          help="append-only JSONL journal of finished jobs "
                               "(crash-safe; one line per result)")
@@ -848,9 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "job sets are re-created, finished jobs are "
                               "not recomputed")
     add_cache_args(p_serve)
-    p_serve.add_argument("--retry", metavar="SPEC",
-                         help="retry policy for transient failures, e.g. "
-                              "'attempts=3,backoff=0.05'")
+    add_retry_args(p_serve)
     p_serve.add_argument("--max-queue", type=int, default=256, metavar="JOBS",
                          help="admission queue capacity in jobs "
                               "(default 256); beyond it submissions get 429")

@@ -6,13 +6,14 @@ individual jobs *will* exhaust budgets, crash workers or hang.  This
 package treats those failures as first-class states instead of terminal
 UNKNOWNs:
 
-* :class:`RetryPolicy` — bounded attempts with exponential backoff,
-  deterministic seeded jitter and per-attempt budget escalation
-  (:meth:`repro.runtime.Budget.escalated`);
+* :class:`RetryPolicy` — bounded attempts with per-attempt budget
+  escalation (:meth:`repro.runtime.Budget.escalated`) and a crash
+  threshold;
 * :class:`Supervisor` — drives a set of jobs through attempts under a
-  policy, re-dispatching transient (``unknown``) outcomes and crashes,
-  and **quarantining** a job whose attempts keep killing their worker so
-  the rest of the batch proceeds;
+  policy, re-dispatching transient (``unknown``) outcomes and crashes as
+  the next wave at once (no wait: a retry's fresh budget, or a rebuilt
+  pool, is what makes it worth running), and **quarantining** a job whose
+  attempts keep killing their worker so the rest of the batch proceeds;
 * :class:`PoolSupervisor` — a self-healing ``ProcessPoolExecutor``
   facade: rebuilds the pool after a ``BrokenProcessPool``, switches to
   single-in-flight *cautious* dispatch for exact poison attribution, and

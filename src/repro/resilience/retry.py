@@ -1,27 +1,29 @@
-"""Retry policies: bounded attempts, deterministic backoff, escalation.
+"""Retry policies: bounded attempts, budget escalation, quarantine.
 
-A :class:`RetryPolicy` is pure data plus pure functions — it never
-sleeps, never touches a clock and never draws randomness.  Jitter is
-*seeded*: the delay before attempt ``k`` of job ``j`` is a deterministic
-function of ``(seed, j, k)``, so a retried batch produces the same
-schedule on every run (the property the whole serving test suite leans
-on) while still decorrelating the retry storms of neighbouring jobs.
+A :class:`RetryPolicy` is pure data plus pure functions.  It says how
+often a job is attempted, how much larger each retry's budget is and
+after how many worker crashes a job is quarantined — never how long to
+wait: a retry goes out as the next wave at once, because nothing this
+program retries recovers with time.  An UNKNOWN job reruns under a fresh
+escalated budget, a crashed one in the driver or on a pool the
+:class:`~repro.resilience.PoolSupervisor` has already rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from ..runtime import Budget
-
-_SPEC_KEYS = ("attempts", "backoff", "factor", "max_backoff", "jitter",
-              "escalation", "crashes", "seed")
+# spec key -> (field, parser), in the order error messages list them.
+_SPEC_KEYS = {
+    "attempts": ("max_attempts", int),
+    "escalation": ("escalation", float),
+    "crashes": ("max_crashes", int),
+}
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """When and how failed job attempts are re-dispatched.
+    """How failed job attempts are re-dispatched.
 
     ``max_attempts`` counts every attempt including the first, so
     ``max_attempts=1`` means "never retry".  ``escalation`` scales the
@@ -33,11 +35,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    backoff: float = 0.05        # seconds before the 2nd attempt
-    backoff_factor: float = 2.0  # exponential growth per further attempt
-    max_backoff: float = 2.0     # delay ceiling, pre-jitter
-    jitter: float = 0.1          # +- fraction applied deterministically
-    seed: int = 0
     escalation: float = 2.0      # per-attempt budget scale factor
     max_crashes: int = 3         # worker deaths before quarantine
 
@@ -46,66 +43,22 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.max_crashes < 1:
             raise ValueError("max_crashes must be >= 1")
-        if self.backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be in [0, 1]")
         if self.escalation <= 0:
             raise ValueError("escalation factor must be positive")
 
     @classmethod
     def none(cls) -> "RetryPolicy":
         """The no-retry policy (single attempt, quarantine never fires)."""
-        return cls(max_attempts=1, backoff=0.0, max_crashes=10 ** 9)
-
-    def delay(self, attempt: int, job_index: int = 0) -> float:
-        """Seconds to wait before *attempt* (1-based) of job *job_index*.
-
-        Deterministic: exponential in the attempt number, capped at
-        ``max_backoff``, then jittered by a factor in ``[1 - jitter,
-        1 + jitter]`` derived from a SHA-256 of ``(seed, job_index,
-        attempt)`` — no global randomness, no clock.
-        """
-        if attempt <= 1:
-            return 0.0
-        base = min(self.max_backoff,
-                   self.backoff * self.backoff_factor ** (attempt - 2))
-        if base <= 0 or self.jitter == 0:
-            return base
-        digest = hashlib.sha256(
-            f"{self.seed}:{job_index}:{attempt}".encode()).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2 ** 64  # [0, 1)
-        return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
+        return cls(max_attempts=1, max_crashes=10 ** 9)
 
     def escalation_for(self, attempt: int) -> float:
         """The budget scale factor of *attempt* (1.0 for the first)."""
         return self.escalation ** (attempt - 1)
 
-    def budget_for(self, base: Budget | None, attempt: int) -> Budget | None:
-        """The budget for *attempt*: the base itself for attempt 1, a
-        fresh escalated allocation (never the spent pools of a failed
-        attempt) for every retry."""
-        if base is None:
-            return None
-        if attempt <= 1:
-            return base
-        return base.escalated(self.escalation_for(attempt))
-
     @classmethod
     def from_spec(cls, spec: str) -> "RetryPolicy":
-        """Parse ``key=value,...`` (keys: attempts, backoff, factor,
-        max_backoff, jitter, escalation, crashes, seed)."""
+        """Parse ``key=value,...`` (keys: attempts, escalation, crashes)."""
         kwargs: dict[str, object] = {}
-        names = {
-            "attempts": ("max_attempts", int),
-            "backoff": ("backoff", float),
-            "factor": ("backoff_factor", float),
-            "max_backoff": ("max_backoff", float),
-            "jitter": ("jitter", float),
-            "escalation": ("escalation", float),
-            "crashes": ("max_crashes", int),
-            "seed": ("seed", int),
-        }
         for part in spec.split(","):
             part = part.strip()
             if not part:
@@ -114,11 +67,11 @@ class RetryPolicy:
             key = key.strip()
             if not sep:
                 raise ValueError(f"retry entry {part!r} is not key=value")
-            if key not in names:
+            if key not in _SPEC_KEYS:
                 raise ValueError(
                     f"unknown retry key {key!r} (expected one of "
                     f"{', '.join(_SPEC_KEYS)})")
-            field, conv = names[key]
+            field, conv = _SPEC_KEYS[key]
             try:
                 kwargs[field] = conv(value.strip())
             except ValueError:

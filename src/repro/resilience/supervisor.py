@@ -22,11 +22,9 @@ journal writes from, which is what makes mid-batch death recoverable.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..obs import current_tracer
 from .retry import RetryPolicy
 
 
@@ -48,7 +46,6 @@ class AttemptRecord:
     reason: str = ""
     elapsed: float = 0.0
     escalation: float = 1.0
-    backoff: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -60,8 +57,6 @@ class AttemptRecord:
             out["reason"] = self.reason
         if self.escalation != 1.0:
             out["escalation"] = round(self.escalation, 6)
-        if self.backoff:
-            out["backoff"] = round(self.backoff, 6)
         return out
 
 
@@ -99,9 +94,7 @@ class Supervisor:
     generator streams them, and outcomes are classified as they arrive).
     ``on_final(key, final)`` fires as soon as a job reaches a terminal
     state — before other jobs finish — so callers can journal progress
-    crash-safely.
-    Backoff sleeps once per wave (the maximum delay of the wave's
-    retries), keeping wall-clock bounded for wide batches.
+    crash-safely.  A wave's retries go out as the next wave at once.
     """
 
     def __init__(
@@ -109,12 +102,10 @@ class Supervisor:
         policy: RetryPolicy | None,
         execute_wave: Callable[[list[Task]], "list[AttemptOutcome]"],
         on_final: Callable[[Any, Final], None] | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         self.policy = policy or RetryPolicy.none()
         self.execute_wave = execute_wave
         self.on_final = on_final
-        self.sleep = sleep
         self.retries = 0
         self.crashes = 0
         self.quarantined = 0
@@ -131,22 +122,18 @@ class Supervisor:
 
     def run(self, keys: Sequence[Any]) -> "dict[Any, Final]":
         policy = self.policy
-        tracer = current_tracer()
         self.history = {key: [] for key in keys}
         crash_counts = {key: 0 for key in keys}
-        pending_backoff = {key: 0.0 for key in keys}
         finals: dict[Any, Final] = {}
         wave = [Task(key, 1, 1.0) for key in keys]
         while wave:
             outcomes = self.execute_wave(wave)
             retry_tasks: list[Task] = []
-            delays: list[float] = []
             for out in outcomes:
                 key, attempt = out.task.key, out.task.attempt
                 self.history[key].append(AttemptRecord(
                     attempt=attempt, status=out.status, reason=out.reason,
-                    elapsed=out.elapsed, escalation=out.task.escalation,
-                    backoff=pending_backoff.get(key, 0.0)))
+                    elapsed=out.elapsed, escalation=out.task.escalation))
                 if out.status in ("ok", "error"):
                     self._finalize(finals, key, "done", out)
                     continue
@@ -163,19 +150,9 @@ class Supervisor:
                     if attempt >= policy.max_attempts:
                         self._finalize(finals, key, "exhausted", out)
                         continue
-                index = key if isinstance(key, int) else hash(key)
-                delay = policy.delay(attempt + 1, index)
-                pending_backoff[key] = delay
-                delays.append(delay)
                 retry_tasks.append(Task(
                     key, attempt + 1, policy.escalation_for(attempt + 1)))
-            if retry_tasks:
-                self.retries += len(retry_tasks)
-                pause = max(delays) if delays else 0.0
-                if pause > 0:
-                    with tracer.span("supervisor.backoff",
-                                     seconds=round(pause, 6)):
-                        self.sleep(pause)
+            self.retries += len(retry_tasks)
             wave = retry_tasks
         return finals
 

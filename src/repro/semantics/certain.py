@@ -118,15 +118,6 @@ class CertainEngine:
             raise ValueError("ontology is not rule-convertible; use backend='sat'")
         self._splits: dict[frozenset[str], RuleSplit] = {}
 
-    def compile(self, query, **options) -> "object":
-        """Compile this engine's ontology with *query* into a reusable
-        :class:`repro.serving.plan.CompiledOMQ` (see ``docs/serving.md``)."""
-        from ..serving.plan import compile_omq
-        return compile_omq(
-            self.onto, query, backend=self.backend,
-            chase_depth=self.chase_depth, sat_extra=self.sat_extra,
-            preflight=self.preflight, **options)
-
     def _preflight_workload(
         self, instance: Interpretation, query: CQ | UCQ | None = None,
     ) -> None:

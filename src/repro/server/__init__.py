@@ -22,13 +22,13 @@ admission/backpressure/drain state diagram.
 """
 
 from ..serving.plan import BAND_HARD, BAND_PTIME, classify_band
-from .admission import AdmissionController, ClientAccount, Decision
+from .admission import AdmissionController, Decision
 from .daemon import ReproServer, RequestError
 from .state import JobSet, JobSetStore
 
 __all__ = [
-    "BAND_HARD", "BAND_PTIME", "AdmissionController", "ClientAccount",
-    "Decision", "classify_band",
+    "BAND_HARD", "BAND_PTIME", "AdmissionController", "Decision",
+    "classify_band",
     "ReproServer", "RequestError",
     "JobSet", "JobSetStore",
 ]

@@ -17,9 +17,8 @@ memory stays bounded no matter how fast clients submit.
 Those are the only limits: a submission is refused while the daemon
 drains, when the queue cannot hold it, or above high water when it is
 hard-band — and for good when it has more jobs than the whole queue.
-Per-client figures (:class:`ClientAccount`) are accounting for
-``/metrics`` and ``GET /v1/jobsets``, not quotas — the ``X-Client``
-header they key on is the client's own choice.
+It keeps no per-client state: the ``X-Client`` header is the client's
+own choice, so it only labels job sets.
 
 Everything is thread-safe (one lock per controller).
 """
@@ -34,27 +33,6 @@ from ..serving.plan import BAND_PTIME
 
 #: The ``Retry-After`` hint, in seconds, of every shed submission.
 RETRY_AFTER = 1.0
-
-
-@dataclass
-class ClientAccount:
-    """Per-client resource accounting."""
-
-    name: str
-    inflight_jobs: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    jobs_completed: int = 0
-    elapsed_seconds: float = 0.0
-
-    def usage(self) -> dict[str, Any]:
-        return {
-            "inflight_jobs": self.inflight_jobs,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "jobs_completed": self.jobs_completed,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-        }
 
 
 @dataclass(frozen=True)
@@ -105,23 +83,14 @@ class AdmissionController:
         self._lock = threading.Lock()
         self.queued_jobs = 0
         self.draining = False
-        self.clients: dict[str, ClientAccount] = {}
         self.shed: dict[str, int] = {
             "draining": 0, "queue_full": 0, "hard_band": 0}
 
-    def _client(self, name: str) -> ClientAccount:
-        account = self.clients.get(name)
-        if account is None:
-            account = self.clients[name] = ClientAccount(name)
-        return account
-
-    def _shed(self, account: ClientAccount, kind: str, status: int,
-              reason: str) -> Decision:
+    def _shed(self, kind: str, status: int, reason: str) -> Decision:
         self.shed[kind] += 1
-        account.rejected += 1
         return Decision(False, status, reason, RETRY_AFTER)
 
-    def admit(self, client: str, jobs: int, band: str) -> Decision:
+    def admit(self, jobs: int, band: str) -> Decision:
         """Admit or shed a submission of *jobs* jobs in *band*."""
         if jobs < 1:
             return Decision(False, 400, "a submission needs at least one job")
@@ -131,49 +100,38 @@ class AdmissionController:
                             f"admission queue ({self.max_queued_jobs} jobs); "
                             f"split it")
         with self._lock:
-            account = self._client(client)
             if self.draining:
                 return self._shed(
-                    account, "draining", 503,
+                    "draining", 503,
                     "daemon is draining; resubmit to its successor")
             after = self.queued_jobs + jobs
             if after > self.max_queued_jobs:
                 return self._shed(
-                    account, "queue_full", 429,
+                    "queue_full", 429,
                     f"admission queue full "
                     f"({self.queued_jobs}/{self.max_queued_jobs} jobs)")
             if (band != BAND_PTIME
                     and after > self.max_queued_jobs * self.high_water):
                 return self._shed(
-                    account, "hard_band", 429,
+                    "hard_band", 429,
                     "over high water: shedding potentially-coNP "
                     "(hard-band) work first; PTIME-band submissions "
                     "are still admitted")
             self.queued_jobs = after
-            account.inflight_jobs += jobs
-            account.accepted += 1
             return Decision(True, 202)
 
-    def adopt(self, client: str, jobs: int) -> None:
+    def adopt(self, jobs: int) -> None:
         """Account capacity for a submission admitted in a previous life
         (journal resume): it was already accepted once, so it re-enters
         the queue unconditionally — no capacity or band checks apply."""
         with self._lock:
-            account = self._client(client)
             self.queued_jobs += jobs
-            account.inflight_jobs += jobs
-            account.accepted += 1
 
-    def release(self, client: str, jobs: int,
-                elapsed: float = 0.0) -> None:
+    def release(self, jobs: int) -> None:
         """Return *jobs* capacity when a jobset finishes (or is
-        cancelled) and account its resource usage to the client."""
+        cancelled)."""
         with self._lock:
             self.queued_jobs = max(0, self.queued_jobs - jobs)
-            account = self._client(client)
-            account.inflight_jobs = max(0, account.inflight_jobs - jobs)
-            account.jobs_completed += jobs
-            account.elapsed_seconds += elapsed
 
     def start_drain(self) -> None:
         with self._lock:
@@ -187,6 +145,4 @@ class AdmissionController:
                 "high_water": self.high_water,
                 "draining": self.draining,
                 "shed": dict(self.shed),
-                "clients": {name: account.usage()
-                            for name, account in self.clients.items()},
             }

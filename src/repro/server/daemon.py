@@ -36,6 +36,7 @@ backpressure / drain state diagram.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -70,6 +71,20 @@ def _parse_ontology(text: str, dl: bool) -> Ontology:
         return ontology(text, name="request")
     except (ParseError, ValueError) as exc:
         raise RequestError(f"ontology: {exc}") from exc
+
+
+def _deadline_seconds(value: Any) -> float:
+    """A submission's ``deadline``: a JSON number of seconds, finite and
+    positive — ``true`` is not 1 and ``"30"`` is not 30."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an integer too large for a float
+            seconds = math.inf
+        if 0 < seconds < math.inf:
+            return seconds
+    raise RequestError(
+        "'deadline' must be a finite positive number of seconds")
 
 
 class ReproServer:
@@ -209,7 +224,9 @@ class ReproServer:
         interrupted suffix recomputes.  Submission order is preserved.  A
         job set journaled with evaluation options that :func:`check_options`
         now refuses (an older daemon took ``fastpath: force`` and coerced
-        strings) is re-adopted without them and recomputes in full."""
+        strings) is re-adopted without them and recomputes in full; one
+        journaled with a deadline that is not finite (an older daemon took
+        ``"nan"`` and ``"inf"``) is re-adopted without it."""
         assert self.journal is not None
         pending: list[JobSet] = []
         by_id: dict[str, JobSet] = {}
@@ -230,6 +247,12 @@ class ReproServer:
                             k: v for k, v in options.items()
                             if k == "budget"}}
                         rerun.add(record.get("id"))
+                deadline = (payload.get("deadline")
+                            if isinstance(payload, dict) else None)
+                if (isinstance(deadline, float)
+                        and not math.isfinite(deadline)):
+                    # It never bounded anything, so what ran stays valid.
+                    payload = {**payload, "deadline": None}
                 try:
                     jobset = self._build_jobset(
                         payload, jobset_id=record["id"],
@@ -258,7 +281,7 @@ class ReproServer:
             if jobset.status == CANCELLED:
                 self.store.finish(jobset)
                 continue
-            self.admission.adopt(jobset.client, len(jobset.jobs))
+            self.admission.adopt(len(jobset.jobs))
             with self._cond:
                 self._queue.append(jobset)
 
@@ -273,7 +296,9 @@ class ReproServer:
         text = payload.get("ontology")
         if not isinstance(text, str) or not text.strip():
             raise RequestError("'ontology' must be a non-empty string")
-        dl = bool(payload.get("dl", False))
+        dl = payload.get("dl", False)
+        if not isinstance(dl, bool):
+            raise RequestError("'dl' must be true or false")
         onto = _parse_ontology(text, dl)
         try:
             jobs = jobs_from_entries(payload.get("jobs"), where="jobs")
@@ -296,12 +321,7 @@ class ReproServer:
             raise RequestError(f"options: {exc}") from exc
         deadline = payload.get("deadline")
         if deadline is not None:
-            try:
-                deadline = float(deadline)
-            except (TypeError, ValueError):
-                raise RequestError("'deadline' must be a number of seconds")
-            if deadline <= 0:
-                raise RequestError("'deadline' must be positive")
+            deadline = _deadline_seconds(deadline)
         band, detail = classify_band(onto)
         fingerprint = fingerprint_ontology(onto)
         return JobSet(
@@ -325,7 +345,7 @@ class ReproServer:
         except RequestError as exc:
             self.metrics.counter("server.bad_requests").inc()
             return 400, {"error": str(exc)}
-        decision = self.admission.admit(client, len(jobset.jobs), jobset.band)
+        decision = self.admission.admit(len(jobset.jobs), jobset.band)
         if not decision.accepted:
             self.metrics.counter("server.jobsets_rejected").inc()
             body = decision.to_dict()
@@ -358,7 +378,7 @@ class ReproServer:
             except ValueError:
                 pass
             self._cond.notify_all()
-        self.admission.release(jobset.client, len(jobset.jobs))
+        self.admission.release(len(jobset.jobs))
         self.store.finish(jobset)
         self._journal_append({"kind": "jobset-cancelled",
                               "jobset": jobset.id})
@@ -455,8 +475,7 @@ class ReproServer:
         self.store.finish(jobset)
         elapsed = jobset.finished - (jobset.started or jobset.finished)
         self.metrics.histogram("server.jobset_seconds").observe(elapsed)
-        self.admission.release(jobset.client, len(jobset.jobs),
-                               elapsed=elapsed)
+        self.admission.release(len(jobset.jobs))
         self._heartbeat = jobset.finished
 
     # -- watchdog ------------------------------------------------------------

@@ -23,18 +23,19 @@ lookup or a single budgeted engine run.  The package provides:
   :mod:`repro.resilience` — worker crashes are retried under escalated
   budgets, repeat crashers quarantined, and finished results optionally
   journaled for crash-safe ``--resume``;
-* :mod:`~repro.serving.metrics` — counters, gauges and histograms: the
-  batch report's latency summary and the serving daemon's ``/metrics``
-  endpoint.  The report's other ``stats`` entries are counted from its
-  per-job results.
+* :mod:`~repro.serving.metrics` — counters and histograms: the batch
+  report's latency summary and the serving daemon's ``/metrics``
+  endpoint, whose point-in-time gauges the daemon computes per scrape.
+  The report's other ``stats`` entries are counted from its per-job
+  results.
 
 Surfaced on the CLI as ``python -m repro batch``; see ``docs/serving.md``.
 """
 
 from .batch import (
-    BatchReport, Job, JobResult, comparable_report, crash_result,
-    evaluate_batch, job_key, jobs_from_entries, load_workload,
-    make_worker_pool, quarantined_result,
+    BatchReport, Job, JobResult, comparable_report, evaluate_batch,
+    job_key, jobs_from_entries, load_workload, make_worker_pool,
+    quarantined_result,
 )
 from .cache import (
     AnswerCache, LRUCache, clear_caches, conversion_cache_stats,
@@ -46,7 +47,7 @@ from .fingerprint import (
     fingerprint_query,
 )
 from .metrics import (
-    Counter, Gauge, Histogram, MetricsRegistry, prometheus_name,
+    Counter, Histogram, MetricsRegistry, prometheus_name,
     render_prometheus,
 )
 from .plan import (
@@ -55,7 +56,7 @@ from .plan import (
 )
 
 __all__ = [
-    "BatchReport", "Job", "JobResult", "comparable_report", "crash_result",
+    "BatchReport", "Job", "JobResult", "comparable_report",
     "evaluate_batch", "job_key", "jobs_from_entries", "load_workload",
     "make_worker_pool", "quarantined_result",
     "AnswerCache", "LRUCache", "clear_caches",
@@ -63,7 +64,7 @@ __all__ = [
     "canonical_instance", "canonical_ontology", "canonical_query",
     "fingerprint_instance", "fingerprint_omq", "fingerprint_ontology",
     "fingerprint_query",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "prometheus_name",
+    "Counter", "Histogram", "MetricsRegistry", "prometheus_name",
     "render_prometheus",
     "CompiledOMQ", "EvalResult", "clear_plan_cache", "compile_omq",
     "parse_query", "plan_cache_stats",

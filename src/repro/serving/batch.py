@@ -367,15 +367,6 @@ def _result_from_dict(data: dict[str, Any]) -> JobResult:
     )
 
 
-def crash_result(index: int, job: Job, exc: BaseException) -> JobResult:
-    """A worker crash surfaces as an UNKNOWN outcome, never a lost job."""
-    return JobResult(
-        index=index, job_id=job.job_id, query=job.query,
-        data=job.data_ref(), status="unknown", verdict="unknown",
-        reason=f"worker crashed: {type(exc).__name__}: {exc}",
-    )
-
-
 def quarantined_result(index: int, job: Job, crashes: int,
                        reason: str) -> JobResult:
     """A poison job: it crashed its worker *crashes* times and was
@@ -397,13 +388,13 @@ def job_key(index: int, job: Job) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def make_worker_pool(workers: int, max_pool_deaths: int = 5) -> PoolSupervisor:
+def make_worker_pool(workers: int) -> PoolSupervisor:
     """A :class:`~repro.resilience.PoolSupervisor` wired to the batch
     worker entry point, for embedders that keep one pool alive across
     many :func:`evaluate_batch` calls (the ``repro serve`` daemon).
     Pass it via ``evaluate_batch(..., pool=...)``; the caller owns its
     lifecycle (``close()`` / context manager)."""
-    return PoolSupervisor(_run_job, workers, max_pool_deaths=max_pool_deaths)
+    return PoolSupervisor(_run_job, workers)
 
 
 # -- the batch executor ------------------------------------------------------
@@ -547,7 +538,6 @@ def evaluate_batch(
     retry: RetryPolicy | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
-    max_pool_deaths: int = 5,
     pool: PoolSupervisor | None = None,
     on_result: "Any | None" = None,
     resume_results: "dict[str, dict] | None" = None,
@@ -561,13 +551,13 @@ def evaluate_batch(
     returned in job order and are identical across worker counts.
 
     *retry* applies a :class:`repro.resilience.RetryPolicy`: transient
-    (``unknown``) outcomes and worker crashes are re-dispatched with a
-    fresh escalated budget and recorded in each result's attempt history;
-    a job that crashes its worker ``max_crashes`` times ends
+    (``unknown``) outcomes and worker crashes are re-dispatched at once
+    with a fresh escalated budget and recorded in each result's attempt
+    history; a job that crashes its worker ``max_crashes`` times ends
     ``quarantined`` and the batch continues.  A broken process pool is
     rebuilt (poison attribution via single-in-flight cautious dispatch)
-    and execution degrades to in-driver serial after *max_pool_deaths*
-    consecutive pool deaths.
+    and execution degrades to in-driver serial after the pool
+    supervisor's ``max_pool_deaths`` consecutive pool deaths.
 
     *journal* names an append-only JSONL file that durably records every
     finished job the moment it is decided; with ``resume=True`` results
@@ -686,8 +676,7 @@ def evaluate_batch(
             owns_storage = cache.backend is not None
         storage = cache.backend
     else:
-        pool_supervisor = PoolSupervisor(
-            _run_job, workers, max_pool_deaths=max_pool_deaths)
+        pool_supervisor = make_worker_pool(workers)
         owns_pool = True
     if pool_supervisor is not None and cache_backend is not None:
         # Open the backend in the driver too: a bad URI fails fast here

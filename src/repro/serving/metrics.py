@@ -1,14 +1,13 @@
-"""Service metrics: counters, gauges and latency histograms.
+"""Service metrics: counters and latency histograms.
 
 Deliberately tiny and dependency-free: a :class:`Counter` is an integer, a
-:class:`Gauge` is a settable float (queue depth, in-flight jobs — values
-that go *down* as well as up), a :class:`Histogram` keeps its raw
-observations (serving workloads are thousands of jobs, not millions of
-requests) and summarizes them as count/min/max/mean/p50/p95.  A
-:class:`MetricsRegistry` groups all three; :func:`render_prometheus`
-renders a registry in the Prometheus text exposition format for the
-serving daemon's ``/metrics`` endpoint, and a batch report summarizes its
-per-job latencies with a :class:`Histogram`.
+:class:`Histogram` keeps its raw observations (serving workloads are
+thousands of jobs, not millions of requests) and summarizes them as
+count/min/max/mean/p50/p95.  A :class:`MetricsRegistry` groups both;
+:func:`render_prometheus` renders a registry, plus the point-in-time
+gauges its caller passes (queue depth, uptime), in the Prometheus text
+exposition format for the serving daemon's ``/metrics`` endpoint, and a
+batch report summarizes its per-job latencies with a :class:`Histogram`.
 
 All of them are **thread-safe**: spans and counters are written from
 engine internals (the tracing layer of :mod:`repro.obs`) and from the
@@ -34,24 +33,6 @@ class Counter:
         default_factory=threading.Lock, repr=False, compare=False)
 
     def inc(self, by: int = 1) -> None:
-        with self._lock:
-            self.value += by
-
-
-@dataclass
-class Gauge:
-    """A point-in-time value: set/add, last write wins (thread-safe)."""
-
-    name: str
-    value: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False)
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-
-    def add(self, by: float = 1.0) -> None:
         with self._lock:
             self.value += by
 
@@ -93,21 +74,16 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named bag of counters, gauges and histograms (thread-safe)."""
+    """A named bag of counters and histograms (thread-safe)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         with self._lock:
             return self.counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            return self.gauges.setdefault(name, Gauge(name))
 
     def histogram(self, name: str) -> Histogram:
         with self._lock:
@@ -116,8 +92,6 @@ class MetricsRegistry:
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
             name: c.value for name, c in sorted(self.counters.items())}
-        for name, gauge in sorted(self.gauges.items()):
-            out[name] = gauge.value
         for name, hist in sorted(self.histograms.items()):
             out[name] = hist.summary()
         return out
@@ -159,24 +133,22 @@ def render_prometheus(registry: MetricsRegistry, prefix: str = "repro_",
                       extra_gauges: "dict[str, float] | None" = None) -> str:
     """Render *registry* in the Prometheus text exposition format (v0.0.4).
 
-    Counters render as ``counter``, gauges as ``gauge`` and histograms as
-    ``summary`` (``_count``/``_sum`` plus p50/p95 ``quantile`` series from
-    the registry's exact nearest-rank percentiles).  *extra_gauges* lets
-    callers add point-in-time values (queue depth, uptime) that are not
-    registry members.  Names are sanitized via :func:`prometheus_name`.
+    Counters render as ``counter``, *extra_gauges* — the caller's
+    point-in-time values (queue depth, uptime) — as ``gauge`` and
+    histograms as ``summary`` (``_count``/``_sum`` plus p50/p95
+    ``quantile`` series from the registry's exact nearest-rank
+    percentiles).  Names are sanitized via :func:`prometheus_name`.
     """
     lines: list[str] = []
     for name, counter in sorted(registry.counters.items()):
         metric = prometheus_name(name, prefix)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_fmt(counter.value)}")
-    merged_gauges = {name: g.value for name, g in registry.gauges.items()}
-    for name, value in (extra_gauges or {}).items():
-        merged_gauges[name] = value
-    for name in sorted(merged_gauges):
+    gauges = extra_gauges or {}
+    for name in sorted(gauges):
         metric = prometheus_name(name, prefix)
         lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(merged_gauges[name])}")
+        lines.append(f"{metric} {_fmt(gauges[name])}")
     for name, hist in sorted(registry.histograms.items()):
         metric = prometheus_name(name, prefix)
         summary = hist.summary()

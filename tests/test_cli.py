@@ -470,3 +470,43 @@ class TestServeCli:
             build_parser().parse_args(["serve", "--port", "0", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRetryCli:
+    """``--retry`` is one argument type on ``batch`` and ``serve``."""
+
+    def test_batch_retries_under_an_escalated_budget(
+            self, workspace, tmp_path, capsys, no_ambient_faults):
+        import json
+
+        # Three hands need three nulls: the first attempt starves on two,
+        # the retry's budget is sixteen times larger and answers.
+        workload = tmp_path / "starved.json"
+        workload.write_text(json.dumps([
+            {"query": "q(x) <- hasFinger(x,y) & Thumb(y)",
+             "facts": ["Hand(h1)", "Hand(h2)", "Hand(h3)"]}]))
+        assert main(["batch", workspace["onto"], "--workload", str(workload),
+                     "--budget", "nulls=2,chase_steps=2,conflicts=2,"
+                                 "escalate=false",
+                     "--retry", "attempts=2,escalation=16",
+                     "--format", "json"]) == 0
+        [job] = json.loads(capsys.readouterr().out)["jobs"]
+        assert job["status"] == "ok"
+        assert [a["status"] for a in job["attempts"]] == ["unknown", "ok"]
+        assert job["attempts"][1]["escalation"] == 16.0
+        assert all("backoff" not in a for a in job["attempts"])
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "onto.gf", "--workload", "jobs.json",
+         "--retry", "backoff=0.05"],
+        ["serve", "--port", "0", "--retry", "jitter=0.1"],
+    ])
+    def test_unknown_retry_key_exits_two_naming_the_keys(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --retry: unknown retry key" in err
+        assert "attempts, escalation, crashes" in err

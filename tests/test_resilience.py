@@ -9,7 +9,6 @@ from repro.resilience import (
     AttemptOutcome, Journal, JournalError, PoolSupervisor, RetryPolicy,
     Supervisor, Task, replay_journal,
 )
-from repro.runtime import Budget, FaultPlan, FaultSpec
 
 
 class TestRetryPolicy:
@@ -23,10 +22,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_crashes=0)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=-1)
-        with pytest.raises(ValueError):
             RetryPolicy(escalation=0)
 
     def test_none_policy_never_retries_never_quarantines(self):
@@ -34,50 +29,16 @@ class TestRetryPolicy:
         assert p.max_attempts == 1
         assert p.max_crashes > 10 ** 6  # quarantine can never fire
 
-    def test_first_attempt_has_no_delay(self):
-        assert RetryPolicy().delay(1, job_index=7) == 0.0
-
-    def test_delay_is_exponential_and_capped(self):
-        p = RetryPolicy(backoff=0.1, backoff_factor=2.0, max_backoff=0.3,
-                        jitter=0.0)
-        assert p.delay(2) == pytest.approx(0.1)
-        assert p.delay(3) == pytest.approx(0.2)
-        assert p.delay(4) == pytest.approx(0.3)  # capped
-        assert p.delay(9) == pytest.approx(0.3)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        p = RetryPolicy(backoff=0.1, jitter=0.5, seed=42)
-        d1 = p.delay(2, job_index=3)
-        assert d1 == p.delay(2, job_index=3)  # pure function of inputs
-        assert 0.05 <= d1 <= 0.15
-        # Different jobs / attempts / seeds decorrelate.
-        assert d1 != p.delay(2, job_index=4)
-        assert d1 != RetryPolicy(backoff=0.1, jitter=0.5, seed=43).delay(
-            2, job_index=3)
-
     def test_escalation_schedule(self):
         p = RetryPolicy(escalation=3.0)
         assert p.escalation_for(1) == 1.0
         assert p.escalation_for(2) == 3.0
         assert p.escalation_for(3) == 9.0
 
-    def test_budget_for_returns_fresh_escalated_allocation(self):
-        base = Budget(chase_steps=10, escalate=False)
-        p = RetryPolicy(escalation=2.0)
-        assert p.budget_for(None, 2) is None
-        assert p.budget_for(base, 1) is base
-        retry_budget = p.budget_for(base, 2)
-        assert retry_budget is not base
-        assert retry_budget.max_chase_steps == 20
-
     def test_from_spec_round_trip(self):
-        p = RetryPolicy.from_spec(
-            "attempts=5, backoff=0.2, factor=3, max_backoff=9, "
-            "jitter=0.25, escalation=4, crashes=2, seed=7")
-        assert p.max_attempts == 5 and p.backoff == 0.2
-        assert p.backoff_factor == 3.0 and p.max_backoff == 9.0
-        assert p.jitter == 0.25 and p.escalation == 4.0
-        assert p.max_crashes == 2 and p.seed == 7
+        p = RetryPolicy.from_spec("attempts=5, escalation=4, crashes=2")
+        assert p == RetryPolicy(max_attempts=5, escalation=4.0,
+                                max_crashes=2)
 
     def test_from_spec_rejects_garbage(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -86,6 +47,13 @@ class TestRetryPolicy:
             RetryPolicy.from_spec("lives=9")
         with pytest.raises(ValueError, match="bad number"):
             RetryPolicy.from_spec("attempts=three")
+        # Retries never wait, so no key sets a wait.
+        for spec in ("backoff=0.05", "factor=2", "max_backoff=2",
+                     "jitter=0.1", "seed=7"):
+            with pytest.raises(ValueError, match=(
+                    r"unknown retry key .*\(expected one of attempts, "
+                    r"escalation, crashes\)")):
+                RetryPolicy.from_spec(spec)
 
 
 class TestJournal:
@@ -231,25 +199,22 @@ def wave_script(*outcomes_by_attempt):
 
 class TestSupervisor:
     def test_ok_first_attempt_is_done(self):
-        sup = Supervisor(RetryPolicy(), wave_script({"a": ("ok", "")}),
-                         sleep=lambda s: None)
+        sup = Supervisor(RetryPolicy(), wave_script({"a": ("ok", "")}))
         finals = sup.run(["a"])
         assert finals["a"].disposition == "done"
         assert len(finals["a"].attempts) == 1
         assert sup.stats() == {"retries": 0, "crashes": 0, "quarantined": 0}
 
     def test_error_is_terminal_not_retried(self):
-        sup = Supervisor(RetryPolicy(), wave_script({"a": ("error", "bad")}),
-                         sleep=lambda s: None)
+        sup = Supervisor(RetryPolicy(), wave_script({"a": ("error", "bad")}))
         finals = sup.run(["a"])
         assert finals["a"].disposition == "done"
         assert sup.retries == 0
 
     def test_unknown_retries_then_succeeds(self):
         sup = Supervisor(
-            RetryPolicy(max_attempts=3, backoff=0.0),
-            wave_script({"a": ("unknown", "starved")}, {"a": ("ok", "")}),
-            sleep=lambda s: None)
+            RetryPolicy(max_attempts=3),
+            wave_script({"a": ("unknown", "starved")}, {"a": ("ok", "")}))
         finals = sup.run(["a"])
         assert finals["a"].disposition == "done"
         assert [a.status for a in finals["a"].attempts] == ["unknown", "ok"]
@@ -258,8 +223,8 @@ class TestSupervisor:
 
     def test_unknown_exhausts_after_max_attempts(self):
         script = [{"a": ("unknown", "starved")}] * 2
-        sup = Supervisor(RetryPolicy(max_attempts=2, backoff=0.0),
-                         wave_script(*script), sleep=lambda s: None)
+        sup = Supervisor(RetryPolicy(max_attempts=2),
+                         wave_script(*script))
         finals = sup.run(["a"])
         assert finals["a"].disposition == "exhausted"
         assert len(finals["a"].attempts) == 2
@@ -267,8 +232,8 @@ class TestSupervisor:
     def test_crashes_reach_quarantine(self):
         script = [{"a": ("crash", "sig")}] * 3
         sup = Supervisor(
-            RetryPolicy(max_attempts=5, max_crashes=3, backoff=0.0),
-            wave_script(*script), sleep=lambda s: None)
+            RetryPolicy(max_attempts=5, max_crashes=3),
+            wave_script(*script))
         finals = sup.run(["a"])
         assert finals["a"].disposition == "quarantined"
         assert sup.crashes == 3 and sup.quarantined == 1
@@ -276,33 +241,22 @@ class TestSupervisor:
     def test_crash_without_quarantine_is_crashed(self):
         script = [{"a": ("crash", "sig")}] * 2
         sup = Supervisor(
-            RetryPolicy(max_attempts=2, max_crashes=5, backoff=0.0),
-            wave_script(*script), sleep=lambda s: None)
+            RetryPolicy(max_attempts=2, max_crashes=5),
+            wave_script(*script))
         assert sup.run(["a"])["a"].disposition == "crashed"
 
     def test_no_retry_policy_crash_is_crashed_not_quarantined(self):
-        sup = Supervisor(None, wave_script({"a": ("crash", "sig")}),
-                         sleep=lambda s: None)
+        sup = Supervisor(None, wave_script({"a": ("crash", "sig")}))
         assert sup.run(["a"])["a"].disposition == "crashed"
-
-    def test_backoff_sleeps_once_per_wave_with_max_delay(self):
-        slept = []
-        policy = RetryPolicy(max_attempts=2, backoff=0.05, jitter=0.0)
-        script = [{"a": ("unknown", ""), "b": ("unknown", "")},
-                  {"a": ("ok", ""), "b": ("ok", "")}]
-        sup = Supervisor(policy, wave_script(*script), sleep=slept.append)
-        sup.run(["a", "b"])
-        assert slept == [pytest.approx(0.05)]  # one pause for the wave
 
     def test_on_final_fires_per_job_as_decided(self):
         order = []
         script = [{"a": ("ok", ""), "b": ("unknown", "")},
                   {"b": ("ok", "")}]
         sup = Supervisor(
-            RetryPolicy(max_attempts=2, backoff=0.0), wave_script(*script),
+            RetryPolicy(max_attempts=2), wave_script(*script),
             on_final=lambda key, final: order.append(
-                (key, final.disposition)),
-            sleep=lambda s: None)
+                (key, final.disposition)))
         sup.run(["a", "b"])
         assert order == [("a", "done"), ("b", "done")]
 
@@ -310,8 +264,8 @@ class TestSupervisor:
         script = [{"a": ("ok", ""), "b": ("crash", "x"), "c": ("error", "e")},
                   {"b": ("crash", "x")}]
         sup = Supervisor(
-            RetryPolicy(max_attempts=3, max_crashes=2, backoff=0.0),
-            wave_script(*script), sleep=lambda s: None)
+            RetryPolicy(max_attempts=3, max_crashes=2),
+            wave_script(*script))
         finals = sup.run(["a", "b", "c"])
         assert finals["a"].disposition == "done"
         assert finals["b"].disposition == "quarantined"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.logic.ontology import ontology
+from repro.resilience import RetryPolicy
 from repro.server import (
     BAND_HARD, BAND_PTIME, AdmissionController, ReproServer, classify_band,
 )
@@ -91,27 +92,27 @@ def make_controller(**kw):
 def test_admission_accepts_until_queue_full_then_429():
     ctl = make_controller(high_water=1.0)
     for _ in range(5):
-        assert ctl.admit("a", 2, BAND_PTIME).accepted
-    decision = ctl.admit("a", 1, BAND_PTIME)
+        assert ctl.admit(2, BAND_PTIME).accepted
+    decision = ctl.admit(1, BAND_PTIME)
     assert not decision.accepted
     assert decision.status == 429
     assert decision.retry_after is not None and decision.retry_after > 0
     assert "queue full" in decision.reason
     assert ctl.snapshot()["shed"]["queue_full"] == 1
     # Releasing capacity lets traffic flow again: bounded, not collapsed.
-    ctl.release("a", 2)
-    assert ctl.admit("a", 1, BAND_PTIME).accepted
+    ctl.release(2)
+    assert ctl.admit(1, BAND_PTIME).accepted
 
 
 def test_admission_sheds_hard_band_above_high_water_only():
     ctl = make_controller(max_queued_jobs=10, high_water=0.5)
-    assert ctl.admit("a", 5, BAND_HARD).accepted  # at high water, fine
-    hard = ctl.admit("a", 1, BAND_HARD)
+    assert ctl.admit(5, BAND_HARD).accepted  # at high water, fine
+    hard = ctl.admit(1, BAND_HARD)
     assert not hard.accepted and hard.status == 429
     assert "coNP" in hard.reason or "hard-band" in hard.reason
     # PTIME-band work keeps flowing until the queue is truly full.
-    assert ctl.admit("a", 5, BAND_PTIME).accepted
-    assert not ctl.admit("a", 1, BAND_PTIME).accepted  # now truly full
+    assert ctl.admit(5, BAND_PTIME).accepted
+    assert not ctl.admit(1, BAND_PTIME).accepted  # now truly full
     snap = ctl.snapshot()
     assert snap["shed"]["hard_band"] == 1
     assert snap["shed"]["queue_full"] == 1
@@ -122,35 +123,31 @@ def test_admission_one_client_is_limited_by_the_queue_alone():
     # only the queue bound (and, for hard-band work, high water) refuses.
     ctl = make_controller(max_queued_jobs=256)
     for n in range(60):
-        decision = ctl.admit("a", 4, BAND_PTIME)
+        decision = ctl.admit(4, BAND_PTIME)
         assert decision.accepted, (n, decision)
-    assert not ctl.admit("a", 17, BAND_PTIME).accepted  # 240 + 17 > 256
+    assert not ctl.admit(17, BAND_PTIME).accepted  # 240 + 17 > 256
     snap = ctl.snapshot()
     assert snap["queued_jobs"] == 240
     assert snap["shed"] == {"draining": 0, "queue_full": 1, "hard_band": 0}
 
 
 def test_admission_per_client_inflight_cap():
-    # There is no per-client in-flight cap: a client's jobs in flight are
-    # accounted, never limited, and every client shares the one queue.
+    # There is no per-client in-flight cap: jobs in flight count against
+    # the one queue, whoever sent them, until their job set releases them.
     ctl = make_controller(max_queued_jobs=100)
-    assert ctl.admit("a", 6, BAND_PTIME).accepted
-    assert ctl.admit("a", 1, BAND_PTIME).accepted
-    assert ctl.admit("b", 6, BAND_PTIME).accepted  # other tenants unaffected
-    assert ctl.snapshot()["clients"]["a"]["inflight_jobs"] == 7
-    ctl.release("a", 6, elapsed=1.5)
-    assert ctl.admit("a", 1, BAND_PTIME).accepted
-    usage = ctl.snapshot()["clients"]["a"]
-    assert usage["jobs_completed"] == 6
-    assert usage["elapsed_seconds"] == pytest.approx(1.5)
-    assert usage["inflight_jobs"] == 2
-    assert usage["accepted"] == 3 and usage["rejected"] == 0
+    assert ctl.admit(6, BAND_PTIME).accepted
+    assert ctl.admit(1, BAND_PTIME).accepted
+    assert ctl.admit(6, BAND_PTIME).accepted
+    assert ctl.snapshot()["queued_jobs"] == 13
+    ctl.release(6)
+    assert ctl.admit(1, BAND_PTIME).accepted
+    assert ctl.snapshot()["queued_jobs"] == 8
 
 
 def test_admission_draining_returns_503():
     ctl = make_controller()
     ctl.start_drain()
-    decision = ctl.admit("a", 1, BAND_PTIME)
+    decision = ctl.admit(1, BAND_PTIME)
     assert decision.status == 503
     assert decision.retry_after is not None
 
@@ -158,14 +155,32 @@ def test_admission_draining_returns_503():
 def test_admission_adopt_accounts_without_checks():
     ctl = make_controller(max_queued_jobs=2)
     ctl.start_drain()
-    ctl.adopt("a", 5)  # resume path: already accepted in a previous life
-    snap = ctl.snapshot()
-    assert snap["queued_jobs"] == 5
-    assert snap["clients"]["a"]["inflight_jobs"] == 5
+    ctl.adopt(5)  # resume path: already accepted in a previous life
+    assert ctl.snapshot()["queued_jobs"] == 5
+
+
+def test_refused_clients_leave_the_admission_snapshot_unchanged():
+    # X-Client only labels job sets: a flood of refused submissions under
+    # distinct names must not grow the snapshot that every
+    # GET /v1/jobsets body carries.
+    srv = ReproServer(max_queued_jobs=1)
+    body = {"ontology": PTIME_ONTO, "jobs": PTIME_JOBS}
+    assert srv.handle_submit(body, client="first")[0] == 202
+
+    def snapshot_size():
+        snap = srv.admission.snapshot()
+        snap.pop("shed")  # three refusal counters, whoever was refused
+        return len(json.dumps(snap))
+
+    before = snapshot_size()
+    for n in range(1000):
+        assert srv.handle_submit(body, client=f"client-{n}")[0] == 429
+    assert srv.admission.snapshot()["shed"]["queue_full"] == 1000
+    assert snapshot_size() == before
 
 
 def test_admission_empty_submission_is_400():
-    assert make_controller().admit("a", 0, BAND_PTIME).status == 400
+    assert make_controller().admit(0, BAND_PTIME).status == 400
 
 
 def test_admission_refuses_a_submission_larger_than_the_queue_with_413():
@@ -177,7 +192,7 @@ def test_admission_refuses_a_submission_larger_than_the_queue_with_413():
     for draining in (False, True):
         if draining:
             ctl.start_drain()
-        decision = ctl.admit("a", 300, BAND_PTIME)
+        decision = ctl.admit(300, BAND_PTIME)
         assert decision.status == 413 and not decision.accepted
         assert decision.retry_after is None
         assert "256 jobs" in decision.reason
@@ -185,9 +200,9 @@ def test_admission_refuses_a_submission_larger_than_the_queue_with_413():
     after = ctl.snapshot()
     assert after["queued_jobs"] == 0
     assert after["shed"] == before["shed"]
-    assert ctl.admit("b", 300, BAND_HARD).status == 413
+    assert ctl.admit(300, BAND_HARD).status == 413
     fresh = AdmissionController(max_queued_jobs=256)
-    assert fresh.admit("a", 256, BAND_PTIME).accepted  # exactly full fits
+    assert fresh.admit(256, BAND_PTIME).accepted  # exactly full fits
 
 
 # -- job-set store ------------------------------------------------------------
@@ -390,6 +405,17 @@ def test_bad_submissions_are_400(server, tmp_path):
         status, body, _ = api(srv, "POST", "/v1/jobsets", payload)
         assert status == 400, payload
         assert "error" in body
+    # dl is a JSON boolean and deadline a finite positive JSON number,
+    # never coerced: bool("false") is True, and a NaN deadline never fires.
+    for field, value in [("deadline", "nan"), ("deadline", "inf"),
+                         ("deadline", True), ("deadline", "30"),
+                         ("deadline", float("nan")),
+                         ("deadline", float("inf")),
+                         ("dl", 0), ("dl", "false")]:
+        status, body, _ = api(srv, "POST", "/v1/jobsets", {
+            "ontology": PTIME_ONTO, "jobs": PTIME_JOBS, field: value})
+        assert status == 400, (field, value)
+        assert f"'{field}'" in body["error"], body
     assert api(srv, "GET", "/v1/jobsets")[1]["jobsets"] == []
     assert srv.admission.snapshot()["queued_jobs"] == 0
     srv.stop()
@@ -424,6 +450,28 @@ def test_served_jobs_evaluate_like_repro_batch(server):
     for job_id in ("nodes-closure", "hubs", "terminals"):
         assert default[job_id]["path"] == "ladder"
         assert auto[job_id]["path"] == "fastpath"
+
+
+def test_daemon_retries_a_starved_job_under_an_escalated_budget(
+        server, no_ambient_faults):
+    # Three thumbs need three nulls: options.budget starves the first
+    # attempt, and the daemon's retry policy reruns the job at once under
+    # a sixteen times larger budget.
+    srv = server(retry=RetryPolicy(max_attempts=2, escalation=16))
+    status, accepted, _ = api(srv, "POST", "/v1/jobsets", {
+        "ontology": PTIME_ONTO,
+        "jobs": [{"query": "q(x) <- partOf(x,y) & Hand(y)",
+                  "facts": ["Thumb(t1)", "Thumb(t2)", "Thumb(t3)"]}],
+        "options": {"budget": "nulls=2,chase_steps=2,conflicts=2,"
+                              "escalate=false"}})
+    assert status == 202
+    result = wait_terminal(srv, accepted["id"])
+    assert result["status"] == DONE
+    [job] = result["report"]["jobs"]
+    assert job["status"] == "ok"
+    assert job["answers"] == [["t1"], ["t2"], ["t3"]]
+    assert [a["status"] for a in job["attempts"]] == ["unknown", "ok"]
+    assert result["report"]["stats"]["resilience"]["retries"] == 1
 
 
 def test_submission_larger_than_the_queue_is_413_without_retry_after(
@@ -656,9 +704,10 @@ def test_daemon_resume_skips_cancelled_jobsets(tmp_path, server):
     assert status == 200 and body["status"] == CANCELLED
 
 
-def write_journal(path, jobsets, results=()):
+def write_journal(path, jobsets, results=(), deadline=None):
     """A daemon journal holding *jobsets* (id, ontology, jobs, band,
-    options) and *results* (jobset id, job key, JobResult)."""
+    options), each with *deadline*, and *results* (jobset id, job key,
+    JobResult)."""
     from repro.resilience import Journal
 
     with Journal(path) as log:
@@ -667,7 +716,7 @@ def write_journal(path, jobsets, results=()):
                         "band": band,
                         "payload": {"ontology": onto, "dl": False,
                                     "jobs": jobs, "options": options,
-                                    "deadline": None}})
+                                    "deadline": deadline}})
         for jobset_id, key, result in results:
             log.append({"kind": "job-result", "jobset": jobset_id,
                         "key": key, "result": result.to_dict()})
@@ -735,6 +784,33 @@ def test_resume_reruns_a_jobset_journaled_with_coerced_options(
     assert not any(j.get("resumed") for j in result["report"]["jobs"])
     jobset = srv.store.get("js-000001-coerced")
     assert jobset.options == {} and jobset.budget == "timeout=60"
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+def test_resume_drops_a_journaled_deadline_that_is_not_finite(
+        tmp_path, server, deadline):
+    # An older daemon took "nan" and "inf" as deadlines and journaled
+    # them as floats.  They never bounded anything, so the daemon still
+    # starts, without them, and serves the journaled answer.
+    from repro.serving import JobResult, job_key
+
+    journal = str(tmp_path / "serve.jsonl")
+    [job] = jobs_from_entries(PTIME_JOBS)
+    done = JobResult(index=0, job_id=job.job_id, query=job.query,
+                     data=job.data_ref(), status="ok", verdict="ok",
+                     answers=(("t",),))
+    write_journal(
+        journal, [("js-000001-unbounded", PTIME_ONTO, PTIME_JOBS,
+                   BAND_PTIME, {})],
+        [("js-000001-unbounded", job_key(0, job), done)],
+        deadline=deadline)
+
+    srv = server(journal=journal, resume=True)
+    result = wait_terminal(srv, "js-000001-unbounded")
+    assert result["status"] == DONE and "deadline" not in result
+    [resumed] = result["report"]["jobs"]
+    assert resumed["resumed"] is True and resumed["answers"] == [["t"]]
+    assert srv.store.get("js-000001-unbounded").deadline is None
 
 
 # -- real-signal subprocess end-to-end ----------------------------------------

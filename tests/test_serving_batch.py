@@ -7,9 +7,7 @@ import pytest
 
 from repro.logic.ontology import ontology
 from repro.runtime import Budget
-from repro.serving import (
-    Job, clear_caches, crash_result, evaluate_batch, load_workload,
-)
+from repro.serving import Job, clear_caches, evaluate_batch, load_workload
 from repro.serving import batch as batch_mod
 
 HAND = ontology(
@@ -209,13 +207,6 @@ class TestParallelBatch:
         monkeypatch.setattr(batch_mod, "_result_from_dict", interrupted)
         with pytest.raises(KeyboardInterrupt):
             evaluate_batch(HAND, hand_workload(2), workers=2)
-
-    def test_crash_result_unit(self):
-        job = Job(query="q() <- A(x)", facts=("A(a)",), job_id="j0")
-        r = crash_result(4, job, RuntimeError("boom"))
-        assert r.index == 4 and r.status == "unknown"
-        assert r.reason == "worker crashed: RuntimeError: boom"
-        assert r.signature() == (4, "unknown", "unknown", ())
 
 
 class TestBudgetedBatch:

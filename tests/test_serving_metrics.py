@@ -8,7 +8,7 @@ import pytest
 from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.serving import (
-    AnswerCache, Counter, Gauge, Histogram, MetricsRegistry, clear_caches,
+    AnswerCache, Counter, Histogram, MetricsRegistry, clear_caches,
     compile_omq, convert_ontology_cached, prometheus_name, render_prometheus,
 )
 from repro.serving.plan import _plan_cache
@@ -76,36 +76,6 @@ def test_counter_and_histogram_are_thread_safe():
     assert hist.summary()["count"] == 8000
 
 
-# -- gauges -------------------------------------------------------------------
-
-
-def test_gauge_set_add_and_registry():
-    gauge = Gauge("depth")
-    gauge.set(5.0)
-    gauge.add(2.0)
-    gauge.add(-3.0)
-    assert gauge.value == 4.0
-    reg = MetricsRegistry()
-    reg.gauge("g").set(7.0)
-    assert reg.gauge("g") is reg.gauge("g")
-    assert reg.to_dict()["g"] == 7.0
-
-
-def test_gauge_is_thread_safe():
-    gauge = Gauge("g")
-
-    def worker():
-        for _ in range(1000):
-            gauge.add(1.0)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert gauge.value == 8000.0
-
-
 # -- Prometheus rendering -----------------------------------------------------
 
 
@@ -120,9 +90,9 @@ def test_prometheus_name_sanitizes():
 def test_render_prometheus_counters_gauges_summaries():
     reg = MetricsRegistry()
     reg.counter("server.requests").inc(3)
-    reg.gauge("queue.depth").set(2.0)
     reg.histogram("job_seconds").extend([1.0, 2.0, 3.0, 4.0])
-    text = render_prometheus(reg, extra_gauges={"uptime": 12.5})
+    text = render_prometheus(
+        reg, extra_gauges={"uptime": 12.5, "queue.depth": 2.0})
     lines = text.splitlines()
     assert "# TYPE repro_server_requests counter" in lines
     assert "repro_server_requests 3" in lines

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from repro.logic.ontology import ontology
+from repro.obs import Tracer
 from repro.resilience import RetryPolicy
 from repro.runtime import KILL_EXIT_CODE, Budget, parse_faults
 from repro.serving import (
@@ -69,7 +70,7 @@ class TestSerialRetry:
         budget = Budget(nulls=2, chase_steps=2, conflicts=2, escalate=False)
         report = evaluate_batch(
             HAND, jobs, budget=budget,
-            retry=RetryPolicy(max_attempts=4, backoff=0.0, escalation=16.0))
+            retry=RetryPolicy(max_attempts=4, escalation=16.0))
         r = report.results[0]
         assert r.status == "ok"
         assert [a["status"] for a in r.attempts] == ["unknown", "ok"]
@@ -86,13 +87,37 @@ class TestSerialRetry:
 
         monkeypatch.setattr(batch_mod, "_execute_job", flaky)
         report = evaluate_batch(
-            HAND, mixed_jobs(), retry=RetryPolicy(max_attempts=3,
-                                                  backoff=0.0))
+            HAND, mixed_jobs(), retry=RetryPolicy(max_attempts=3))
         r = report.results[POISON]
         assert r.status == "ok"
         assert [a["status"] for a in r.attempts] == ["crash", "ok"]
         assert "RuntimeError: transient poison" in r.attempts[0]["reason"]
         assert report.ok
+
+    def test_retries_go_out_at_once(self, monkeypatch):
+        # Four jobs that each crash once: the retry wave runs without a
+        # pause, so no attempt records a wait and the trace has no
+        # backoff span.
+        real = batch_mod._execute_job
+
+        def crash_once(index, job, onto, budget, options, cache):
+            if options.get("attempt", 1) == 1:
+                raise RuntimeError("transient")
+            return real(index, job, onto, budget, options, cache)
+
+        monkeypatch.setattr(batch_mod, "_execute_job", crash_once)
+        tracer = Tracer()
+        report = evaluate_batch(HAND, mixed_jobs(4),
+                                retry=RetryPolicy(max_attempts=2),
+                                tracer=tracer)
+        assert [r.status for r in report.results] == ["ok"] * 4
+        for r in report.results:
+            assert [a["status"] for a in r.attempts] == ["crash", "ok"]
+            assert all("backoff" not in a for a in r.attempts)
+        assert report.stats["resilience"]["retries"] == 4
+        names = {span["name"] for span in tracer.to_dicts()}
+        assert "batch.job" in names
+        assert "supervisor.backoff" not in names
 
     def test_persistent_crasher_is_quarantined_batch_continues(
             self, monkeypatch):
@@ -106,7 +131,7 @@ class TestSerialRetry:
         monkeypatch.setattr(batch_mod, "_execute_job", poison)
         report = evaluate_batch(
             HAND, mixed_jobs(),
-            retry=RetryPolicy(max_attempts=5, max_crashes=2, backoff=0.0))
+            retry=RetryPolicy(max_attempts=5, max_crashes=2))
         r = report.results[POISON]
         assert r.status == "quarantined" and r.verdict == "unknown"
         assert r.reason == ("quarantined after 2 worker crash(es): "
@@ -136,7 +161,7 @@ class TestPoolWorkerDeath:
         monkeypatch.setattr(batch_mod, "_run_job", _sigkill_poison_run_job)
         report = evaluate_batch(
             HAND, mixed_jobs(4), workers=2,
-            retry=RetryPolicy(max_attempts=5, max_crashes=2, backoff=0.0))
+            retry=RetryPolicy(max_attempts=5, max_crashes=2))
         r = report.results[POISON]
         assert r.status == "quarantined"
         assert len(r.attempts) == 2
@@ -156,7 +181,7 @@ class TestPoolWorkerDeath:
         budget = Budget(faults=parse_faults("kill:chase_truncate:@1"))
         report = evaluate_batch(
             HAND, mixed_jobs(4), workers=2, budget=budget,
-            retry=RetryPolicy(max_attempts=5, max_crashes=2, backoff=0.0))
+            retry=RetryPolicy(max_attempts=5, max_crashes=2))
         r = report.results[POISON]
         assert r.status == "quarantined"
         innocents = [x for x in report.results if x.index != POISON]
@@ -172,7 +197,7 @@ class TestPoolWorkerDeath:
                 raise RuntimeError("always dies")
             return real(index, job, onto, budget, options, cache)
 
-        policy = RetryPolicy(max_attempts=5, max_crashes=2, backoff=0.0)
+        policy = RetryPolicy(max_attempts=5, max_crashes=2)
         monkeypatch.setattr(batch_mod, "_execute_job", serial_poison)
         serial = evaluate_batch(HAND, mixed_jobs(4), workers=1, retry=policy)
         clear_caches()
