@@ -16,6 +16,11 @@ bench quantifies both:
 * **semi-naive vs naive** — the textbook margin, gated too;
 * **chase fixpoint** — a pinned restricted-chase workload timed for the
   per-change perf trajectory;
+* **chase scaling** (standalone) — the delta-driven chase on horn-hands,
+  prop chains and a cyclic probe (every branch truncates) from 20 to
+  800 facts, against a faithful copy of the chase it replaced, which
+  re-scanned the whole branch before every firing; gated at >=10x on
+  400 horn-hands facts and <16x growth from 100 to 800 facts;
 * **type enumeration** (standalone) — the Theorem 5 rewriting of
   ``horn-hands`` built with one incremental CDCL solver per enumeration,
   against a faithful copy of the loop it replaced (a fresh solver per
@@ -35,19 +40,29 @@ import itertools
 import json
 import sys
 import time
+from typing import Iterator, Sequence
 
 import pytest
+from bench_serving import FASTPATH_ONTO, chain_facts, hands_facts
 
+from repro.analysis.sanitizers import chase_sanitizer
 from repro.core.rewriting import TypeRewriting
 from repro.csp import clique_template, encode_template, random_graph_instance
 from repro.datalog.engine import _fire, evaluate
 from repro.datalog.program import Program, Rule
 from repro.logic.instance import Interpretation
 from repro.logic.match import join_counter
-from repro.logic.ontology import ontology
-from repro.logic.syntax import Atom, Const, Not, Var
+from repro.logic.ontology import Ontology, ontology
+from repro.logic.syntax import Atom, Const, Element, Not, Var
+from repro.obs import current_tracer
 from repro.queries.cq import parse_cq
+from repro.runtime import Budget
 from repro.semantics.cdcl import Solver
+from repro.semantics.chase import (
+    Branch, ChaseError, ChaseResult, _apply_head, _enforce_functionality,
+    _head_satisfied, _rule_matches, _rule_patterns,
+)
+from repro.semantics.rules import DisjunctiveRule, convert_ontology
 from repro.semantics.sat import CNF, add_formula, dpll, ground
 from repro.semantics.modelsearch import query_formula
 
@@ -405,6 +420,248 @@ def _best_of(repeats: int, fn, *args):
     return best, result
 
 
+# -- chase scaling: delta-driven agenda vs rescan per firing -------------
+
+
+def _active_triggers(
+    branch: Branch, rules: Sequence[DisjunctiveRule],
+) -> Iterator[tuple[DisjunctiveRule, dict[Var, Element]]]:
+    """The active triggers of *rules* on *branch*, in rule order: body
+    matches (extended over the active domain for frontier variables)
+    under which no head disjunct is satisfied yet."""
+    domain = sorted(branch.interp.dom(), key=repr)
+    for rule in rules:
+        frontier = sorted(rule.frontier_vars())
+        body, heads = _rule_patterns(rule)
+        for env in _rule_matches(body, branch.interp, domain, frontier):
+            if not any(_head_satisfied(h, p, branch.interp, env)
+                       for h, p in zip(rule.heads, heads)):
+                yield rule, env
+
+
+def _rescan_chase(
+    onto: Ontology,
+    instance: Interpretation,
+    rules: Sequence[DisjunctiveRule] | None = None,
+    max_depth: int = 6,
+    max_branches: int = 512,
+    max_facts: int = 200_000,
+    sanitize: bool | None = None,
+    budget: Budget | None = None,
+    deferred: Sequence[DisjunctiveRule] = (),
+    pruned: int = 0,
+) -> ChaseResult:
+    """Run the disjunctive chase of *instance* with *onto* (the
+    rescanning chase, verbatim modulo its name).
+
+    *rules* defaults to :func:`convert_ontology`; a ``ValueError`` is raised
+    if the ontology is not rule-convertible.  ``sanitize`` switches the
+    runtime invariant checkers on/off (default: the ``REPRO_SANITIZE``
+    environment variable).  Under a :class:`repro.runtime.Budget` every
+    rule firing is a cooperative checkpoint (deadline / chase-step / null
+    accounting, raising :class:`repro.runtime.BudgetExceeded`) and the
+    ``chase_truncate`` fault site can force depth exhaustion.
+
+    With *deferred* rules (see :func:`repro.semantics.rules.split_rules`)
+    the run has two phases.  The chase branches exhaustively on *rules*;
+    each branch they leave with no active trigger is then settled by a
+    depth-first search of *deferred* on a copy of it.  The search stops
+    at the first complete consistent leaf; if its only consistent leaves
+    are truncated the branch becomes incomplete, and if every leaf is
+    inconsistent the branch is dropped like one that violated a
+    constraint.  The returned branches carry no deferred facts.  Search
+    firings count as steps, and search nodes count against
+    *max_branches*.  *pruned*, the number of rules the caller left out of
+    both lists, is only recorded on the span.
+    """
+    if rules is None:
+        rules = convert_ontology(onto)
+        if rules is None:
+            raise ValueError(f"{onto!r} is not convertible to disjunctive rules")
+
+    san = chase_sanitizer(sanitize)
+    base_dom = frozenset(instance.dom())
+    initial = Branch(interp=instance.copy(), depth={e: 0 for e in instance.dom()})
+    _enforce_functionality(initial, onto)
+    if san and initial.consistent:
+        san.check_branch(initial, onto, max_depth, base_dom)
+    pending = [initial]
+    done: list[Branch] = []
+    steps = 0
+    search_nodes = 0
+
+    def expand(branch: Branch,
+               rule_set: Sequence[DisjunctiveRule]) -> list[Branch] | None:
+        """Fire the first active trigger of *rule_set* on *branch*.  Returns
+        its successor branches; ``[]`` when a constraint fired (the branch
+        is then inconsistent); ``None`` when no trigger can fire (those cut
+        off by the depth bound mark the branch incomplete)."""
+        nonlocal steps
+        if budget is not None:
+            budget.check_deadline("chase")
+        if len(branch.interp) > max_facts:
+            raise ChaseError(f"branch exceeded {max_facts} facts")
+        for rule, env in _active_triggers(branch, rule_set):
+            if rule.is_constraint():
+                branch.consistent = False
+                return []
+            # Truncation: creating nulls beyond the depth bound (the
+            # ``chase_truncate`` fault site forces the same path).
+            trigger_depth = max(
+                (branch.depth.get(e, 0) for e in env.values()), default=0)
+            needs_nulls = any(h.exist_vars for h in rule.heads)
+            if needs_nulls and (
+                    trigger_depth + 1 > max_depth
+                    or (budget is not None
+                        and budget.inject("chase_truncate"))):
+                branch.complete = False
+                continue
+            steps += 1
+            if budget is not None:
+                budget.tick_chase_step()
+                if needs_nulls:
+                    budget.tick_nulls(sum(
+                        len(h.exist_vars) * h.count for h in rule.heads))
+            if san:
+                san.check_firing(rule, branch.interp, env)
+            successors = []
+            for head in rule.heads:
+                succ = branch.clone()
+                _apply_head(succ, head, env)
+                _enforce_functionality(succ, onto)
+                if san and succ.consistent:
+                    san.check_branch(succ, onto, max_depth, base_dom)
+                successors.append(succ)
+            return successors
+        return None
+
+    def completes(branch: Branch) -> bool:
+        """Does some completion of *branch* under *deferred* stay
+        consistent?  Marks *branch* incomplete when only truncated
+        completions do."""
+        nonlocal search_nodes
+        # The root shares the branch's facts: expand() never changes a
+        # branch's facts, only those of its (cloned) successors.
+        stack = [Branch(branch.interp, branch.depth,
+                        _null_counter=branch._null_counter)]
+        nodes, open_leaf = 1, False
+        try:
+            while stack:
+                node = stack.pop()
+                if not node.consistent:
+                    continue
+                successors = expand(node, deferred)
+                if successors is None:
+                    # Once truncated, any consistent leaf settles it.
+                    if node.complete or not branch.complete:
+                        return True
+                    open_leaf = True
+                    continue
+                nodes += len(successors)
+                if len(done) + len(pending) + nodes > max_branches:
+                    raise ChaseError(
+                        f"more than {max_branches} chase branches")
+                stack.extend(reversed(successors))
+            if open_leaf:
+                branch.complete = False
+            return open_leaf
+        finally:
+            search_nodes += nodes
+
+    # One span per chase run; a BudgetExceeded/ChaseError escaping the
+    # block marks the span failed on the way out (repro.obs).
+    with current_tracer().span("chase", depth=max_depth) as span:
+        while pending:
+            branch = pending.pop()
+            if not branch.consistent:
+                if budget is not None:
+                    budget.check_deadline("chase")
+                done.append(branch)
+                continue
+            successors = expand(branch, rules)
+            if successors is None:
+                if not deferred or completes(branch):
+                    done.append(branch)
+                continue
+            if len(done) + len(pending) + len(successors) > max_branches:
+                raise ChaseError(f"more than {max_branches} chase branches")
+            pending.extend(successors)
+
+        span.set(
+            steps=steps,
+            branches=len(done),
+            consistent=sum(1 for b in done if b.consistent),
+            truncated=any(not b.complete for b in done),
+            pruned=pruned,
+            deferred=len(deferred),
+            search_nodes=search_nodes,
+        )
+    return ChaseResult(branches=done, rules=list(rules), max_depth=max_depth)
+
+
+CYCLIC = ontology(
+    "forall x (Person(x) -> exists y (hasParent(x,y) & Person(y)))\n"
+    "forall x,y (hasParent(x,y) -> Ancestor(y))", name="cyclic")
+
+
+def probe_facts(n: int) -> list:
+    """*n* facts of the cyclic probe: ``Person(p_i)`` and ``Student(s_i)``."""
+    return [fact for i in range(n // 2)
+            for fact in (f"Person(p{i})", f"Student(s{i})")]
+
+
+#: Instance sizes, in facts, of the chase sweep.
+CHASE_SIZES = (20, 50, 100, 200, 400, 800)
+#: family -> (ontology, facts(n), largest size the rescan reference is
+#: timed at: it grows about x5 per doubling, x6 on the cyclic probe).
+CHASE_FAMILIES = {
+    "horn-hands": (HORN_HANDS, hands_facts, 800),
+    "prop-chains": (FASTPATH_ONTO, chain_facts, 800),
+    "cyclic-probe": (CYCLIC, probe_facts, 100),
+}
+
+
+def _chase_shape(result) -> dict:
+    return {
+        "branches": len(result.branches),
+        "consistent": result.is_consistent,
+        "complete": result.fully_chased,
+        "result_facts": sum(len(b.interp) for b in result.branches),
+    }
+
+
+def chase_scaling(repeats: int = 3) -> dict:
+    """Best-of-*repeats* seconds of the chase per family and size, and of
+    one rescan-reference run up to the family's limit.  Both must agree
+    on the branch count, consistency, completeness and fact count before
+    a timing counts."""
+    from repro.logic.instance import make_instance
+    from repro.semantics.chase import chase
+
+    report: dict = {"sizes": list(CHASE_SIZES)}
+    for family, (onto, facts, limit) in CHASE_FAMILIES.items():
+        rows = []
+        for n in CHASE_SIZES:
+            inst = make_instance(*facts(n))
+            chase_s, result = _best_of(
+                repeats, lambda: chase(onto, inst, sanitize=False))
+            row = {"facts": n, "chase_s": chase_s, **_chase_shape(result)}
+            if n <= limit:
+                rescan_s, old = _best_of(
+                    1, lambda: _rescan_chase(onto, inst, sanitize=False))
+                if _chase_shape(old) != _chase_shape(result):
+                    raise AssertionError(
+                        f"chases disagree on {family} at {n} facts: "
+                        f"{_chase_shape(old)} vs {_chase_shape(result)}")
+                row["rescan_s"] = rescan_s
+                row["speedup"] = rescan_s / chase_s
+            rows.append(row)
+        by_size = {row["facts"]: row["chase_s"] for row in rows}
+        report[family] = {"growth_100_800": by_size[800] / by_size[100],
+                          "rows": rows}
+    return report
+
+
 def measure(repeats: int = 3, tc_n: int = 100, chain_n: int = 400) -> dict:
     """Time the pinned workloads; every engine variant must agree on the
     fixpoint before its timing counts."""
@@ -451,6 +708,8 @@ def measure(repeats: int = 3, tc_n: int = 100, chain_n: int = 400) -> dict:
         "facts": len(result.branches[0].interp),
     }
 
+    report["chase_scaling"] = chase_scaling(repeats)
+
     query = parse_cq(TYPE_QUERY)
     incremental_s, new = _best_of(repeats, TypeRewriting, HORN_HANDS, query)
     rebuild_s, old = _best_of(1, _RebuildPerTypeRewriting, HORN_HANDS, query)
@@ -467,19 +726,40 @@ def measure(repeats: int = 3, tc_n: int = 100, chain_n: int = 400) -> dict:
     return report
 
 
+def _chase_gate(report: dict) -> list:
+    """The chase-scaling gate's failures: the delta-driven chase must beat
+    the rescan reference >=10x at 400 horn-hands facts, and grow <16x
+    from 100 to 800 facts on every family (linear growth is 8x)."""
+    scaling = report["chase_scaling"]
+    failures = []
+    [row] = [r for r in scaling["horn-hands"]["rows"] if r["facts"] == 400]
+    if row["speedup"] < 10.0:
+        failures.append(
+            f"the delta-driven chase is only {row['speedup']:.2f}x the "
+            "rescan chase at 400 horn-hands facts (gate: >=10x)")
+    for family in CHASE_FAMILIES:
+        growth = scaling[family]["growth_100_800"]
+        if growth >= 16.0:
+            failures.append(
+                f"the chase grows {growth:.1f}x from 100 to 800 {family} "
+                "facts (gate: <16x; linear is 8x)")
+    return failures
+
+
 def smoke() -> int:
     """CI gate: the delta-driven join must beat the pre-overhaul engine
     by >=5x and naive evaluation by >=3x on the pinned workloads, the
-    chain workload's join work must stay linear, and the incremental type
+    chain workload's join work must stay linear, the incremental type
     enumeration must find the rebuild-per-type loop's type sets >=5x
-    faster."""
+    faster, and the chase must pass :func:`_chase_gate`."""
     failures = []
     report = measure(repeats=3)
     for _ in range(2):
         # best-of-3 re-measurement: a loaded CI box can stall one run
         tc = report["transitive_closure"]
         if (tc["legacy_speedup"] >= 5.0 and tc["naive_speedup"] >= 3.0
-                and report["type_enumeration"]["speedup"] >= 5.0):
+                and report["type_enumeration"]["speedup"] >= 5.0
+                and not _chase_gate(report)):
             break
         report = measure(repeats=3)
     tc = report["transitive_closure"]
@@ -510,10 +790,22 @@ def smoke() -> int:
         failures.append(
             f"incremental type enumeration is only {types['speedup']:.2f}x "
             "the rebuild-per-type loop on horn-hands (gate: >=5x)")
+    failures += _chase_gate(report)
     print(json.dumps(report, indent=2))
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _rounded(value):
+    """*value* with every float rounded to 6 places, at any depth."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
 
 
 def snapshot(path: str = "") -> int:
@@ -545,6 +837,7 @@ def snapshot(path: str = "") -> int:
         "chase": {
             k: (round(v, 6) if isinstance(v, float) else v)
             for k, v in report["chase"].items()},
+        "chase_scaling": _rounded(report["chase_scaling"]),
         "type_enumeration": {
             k: (round(v, 6) if isinstance(v, float) else v)
             for k, v in report["type_enumeration"].items()},

@@ -20,7 +20,11 @@ Chase invariants
       chase-created nulls at depths ``1..max_depth``, and every null in
       the branch has a recorded depth;
     * **EGD consistency**: after the functionality fixpoint, no functional
-      relation maps a key to two distinct values on a consistent branch.
+      relation maps a key to two distinct values on a consistent branch;
+    * **quiescence**: when the chase finds no trigger to fire, a re-scan of
+      every rule finds none it missed: each trigger still active creates
+      nulls, sits on a branch marked incomplete and, unless a fault plan
+      could have truncated it, is cut off by the depth bound.
 
 CDCL invariants
     * **two-watched literals**: every clause of length >= 2 is watched by
@@ -39,6 +43,7 @@ bug in the engine cannot hide inside its own sanitizer.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -119,6 +124,37 @@ class ChaseSanitizer:
                     f"restricted-chase violation: firing {rule!r} although "
                     f"head disjunct {pos} ({head!r}) is already satisfied "
                     f"under {env!r}")
+
+    def check_quiescent(self, branch, rules, max_depth: int,
+                        faulted: bool = False) -> None:
+        """The chase found no trigger of *rules* to fire on *branch*.  Every
+        trigger an independent re-scan still finds active must create
+        nulls on a branch marked incomplete, and (unless *faulted*: a
+        fault plan may truncate any trigger) sit at the depth bound."""
+        interp = branch.interp
+        domain = sorted(interp.dom(), key=repr)
+        for rule in rules:
+            frontier = sorted(rule.frontier_vars())
+            for match in _match_atoms(rule.body, interp, {}):
+                for combo in itertools.product(domain, repeat=len(frontier)):
+                    env = {**match, **dict(zip(frontier, combo))}
+                    if any(_head_satisfied(head, interp, env)
+                           for head in rule.heads):
+                        continue
+                    depth = max((branch.depth.get(e, 0)
+                                 for e in env.values()), default=0)
+                    if not any(head.exist_vars for head in rule.heads):
+                        problem = "creates no nulls"
+                    elif branch.complete:
+                        problem = "sits on a branch marked complete"
+                    elif not faulted and depth + 1 <= max_depth:
+                        problem = (f"sits at depth {depth}, within the "
+                                   f"bound {max_depth}")
+                    else:
+                        continue
+                    raise SanitizerError(
+                        f"missed trigger: {rule!r} is still active under "
+                        f"{env!r} when the chase stopped, and it {problem}")
 
     def check_branch(self, branch, onto: "Ontology",
                      max_depth: int | None = None,

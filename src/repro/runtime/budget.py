@@ -104,6 +104,7 @@ class Budget:
         faults: FaultPlan | None = None,
         clock: Callable[[], float] = time.monotonic,
         lazy_start: bool = False,
+        time_left: float | None = None,
     ):
         self.timeout = timeout
         self.max_chase_steps = chase_steps
@@ -120,6 +121,12 @@ class Budget:
         self.deadline: float | None = None
         if timeout is not None and self._start is not None:
             self.deadline = self._start + timeout
+        # A request's deadline: the time on *clock*, *time_left* seconds
+        # after construction, past which no checkpoint passes.  Unlike the
+        # timeout it is absolute, so escalated() and split() hand it on
+        # unchanged and no retry runs past it.
+        self.not_after: float | None = (
+            None if time_left is None else clock() + time_left)
         self.spent_chase_steps = 0
         self.spent_nulls = 0
         self.spent_conflicts = 0
@@ -144,12 +151,16 @@ class Budget:
         return self._clock() - self._start
 
     def remaining(self) -> float | None:
-        """Seconds until the deadline; None when there is no deadline."""
-        if self.timeout is None:
-            return None
-        if self._start is None:
-            return self.timeout
-        return max(0.0, self.deadline - self._clock())
+        """Seconds until the deadline or the not-after time, whichever
+        comes first; None when there is neither."""
+        left = None
+        if self.timeout is not None:
+            left = (self.timeout if self._start is None
+                    else max(0.0, self.deadline - self._clock()))
+        if self.not_after is not None:
+            until = max(0.0, self.not_after - self._clock())
+            left = until if left is None else min(left, until)
+        return left
 
     def add_phase(self, name: str, seconds: float) -> None:
         """Attribute *seconds* of wall time to the named phase (``chase``,
@@ -181,10 +192,13 @@ class Budget:
         if self.inject("deadline"):
             self._fail("deadline", f"injected deadline expiry at {where or 'checkpoint'}")
         self._anchor()
-        if self.deadline is not None and self._clock() >= self.deadline:
+        now = self._clock()
+        at = f" at {where}" if where else ""
+        if self.deadline is not None and now >= self.deadline:
             self._fail("deadline",
-                       f"wall-clock budget of {self.timeout:.3f}s exhausted"
-                       f"{f' at {where}' if where else ''}")
+                       f"wall-clock budget of {self.timeout:.3f}s exhausted{at}")
+        if self.not_after is not None and now >= self.not_after:
+            self._fail("deadline", f"request deadline passed{at}")
 
     def poll(self, where: str = "") -> None:
         """Strided deadline checkpoint for hot loops."""
@@ -239,7 +253,8 @@ class Budget:
         """Constructor kwargs reproducing this budget's *limits*.
 
         Used to ship per-job budgets to worker processes: the clock
-        restarts in the receiving process, the limits carry over, and the
+        restarts in the receiving process, the limits carry over, the
+        not-after time ships as the seconds left of it now, and the
         fault plan ships as a fresh copy (same specs, restarted hit
         counters) so a programmatically supplied plan survives the
         process boundary exactly like an env-derived one.
@@ -254,7 +269,20 @@ class Budget:
         }
         if self.faults:
             kwargs["faults"] = FaultPlan(self.faults.all_specs())
+        if self.not_after is not None:
+            kwargs["time_left"] = max(0.0, self.not_after - self._clock())
         return kwargs
+
+    def _child(self, **limits) -> "Budget":
+        """A fresh, lazily started budget with *limits*, this budget's
+        clock, ``escalate`` and not-after time, and a fresh copy of its
+        fault plan (same specs, restarted hit counters)."""
+        specs = self.faults.all_specs() if self.faults else ()
+        child = Budget(escalate=self.escalate,
+                       faults=FaultPlan(specs) if specs else None,
+                       clock=self._clock, lazy_start=True, **limits)
+        child.not_after = self.not_after
+        return child
 
     def escalated(self, factor: float) -> "Budget":
         """A fresh budget with every limit scaled by *factor* and nothing
@@ -264,9 +292,10 @@ class Budget:
         from a full *escalated* allocation — it scales this budget's
         configured **limits**, never inherits its spent pools or burnt
         wall-clock, and anchors its own clock lazily at its first
-        checkpoint.  An injected fault plan propagates as a fresh copy
-        (same specs, restarted hit counters) so every attempt sees the
-        same deterministic fault schedule.
+        checkpoint.  The not-after time is kept, so a request's deadline
+        bounds its retries too.  An injected fault plan propagates as a
+        fresh copy (same specs, restarted hit counters) so every attempt
+        sees the same deterministic fault schedule.
         """
         if factor <= 0:
             raise ValueError("escalation factor must be positive")
@@ -274,17 +303,12 @@ class Budget:
         def scale(limit: int | None) -> int | None:
             return None if limit is None else max(1, int(limit * factor))
 
-        specs = self.faults.all_specs() if self.faults else ()
-        return Budget(
+        return self._child(
             timeout=None if self.timeout is None else self.timeout * factor,
             chase_steps=scale(self.max_chase_steps),
             nulls=scale(self.max_nulls),
             conflicts=scale(self.max_conflicts),
             backtracks=scale(self.max_backtracks),
-            escalate=self.escalate,
-            faults=FaultPlan(specs) if specs else None,
-            clock=self._clock,
-            lazy_start=True,
         )
 
     def split(self, n: int) -> "list[Budget]":
@@ -296,11 +320,11 @@ class Budget:
         Each child's clock starts *lazily* at its first checkpoint, not
         at split time: in a serial batch job k's deadline does not burn
         down while jobs 0..k-1 run, matching the parallel path where
-        workers rebuild their budgets with fresh clocks.  Counters
-        already spent on the parent stay on the parent.  An injected
-        fault plan propagates as a *fresh* per-child plan (same specs,
-        restarted hit counters) so every job sees the same deterministic
-        fault schedule.
+        workers rebuild their budgets with fresh clocks.  Every child
+        keeps the parent's not-after time.  Counters already spent on the
+        parent stay on the parent.  An injected fault plan propagates as
+        a *fresh* per-child plan (same specs, restarted hit counters) so
+        every job sees the same deterministic fault schedule.
         """
         if n <= 0:
             raise ValueError("cannot split a budget into <= 0 parts")
@@ -309,18 +333,13 @@ class Budget:
             return None if limit is None else max(1, limit // n)
 
         remaining = self.remaining()
-        specs = self.faults.all_specs() if self.faults else ()
         return [
-            Budget(
+            self._child(
                 timeout=None if remaining is None else remaining / n,
                 chase_steps=share(self.max_chase_steps),
                 nulls=share(self.max_nulls),
                 conflicts=share(self.max_conflicts),
                 backtracks=share(self.max_backtracks),
-                escalate=self.escalate,
-                faults=FaultPlan(specs) if specs else None,
-                clock=self._clock,
-                lazy_start=True,
             )
             for _ in range(n)
         ]

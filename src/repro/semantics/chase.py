@@ -21,6 +21,19 @@ homomorphic image of some branch (preserving dom(D)).  Consequently
 Nulls carry a creation depth; branches that would need nulls deeper than
 ``max_depth`` are truncated and marked incomplete.
 
+Branches are explored depth-first, and triggers are found incrementally.
+Each branch keeps an *agenda*: a heap of the active triggers found and
+not yet fired, keyed by rule position and then discovery order, so the
+first active trigger in rule order fires first.  A branch is scanned in
+full when it is first expanded, and again only after an EGD merge
+renames its elements.  After a firing, the triggers it creates are found
+from the facts it added alone, with the match kernel's seeded delta join
+(:meth:`repro.logic.match.Pattern.matches` with ``delta``); a rule with
+frontier variables is enumerated again whenever the firing may have
+grown the domain.  Head satisfaction is re-checked when a trigger is
+popped, which keeps the chase restricted.  A one-head rule fires in
+place; a k-head rule clones the branch, agenda included, k-1 times.
+
 A query need not see every rule (:func:`repro.semantics.rules.split_rules`).
 Given *deferred* rules, which only feed integrity constraints, the chase
 branches on the other rules and settles each finished branch with a
@@ -32,9 +45,10 @@ for queries over the predicates the exhaustive rules feed.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ..analysis.sanitizers import chase_sanitizer
 from ..logic.instance import Interpretation
@@ -51,6 +65,28 @@ class ChaseError(RuntimeError):
     pass
 
 
+class _Agenda:
+    """A branch's active triggers not yet fired: a heap of ``(rule
+    position, discovery number, env)``, so the first trigger in rule order
+    pops first, and the triggers of frontier rules already found (a
+    re-enumeration of such a rule finds them again)."""
+
+    __slots__ = ("heap", "found", "seen")
+
+    def __init__(self, heap: list | None = None, found: int = 0,
+                 seen: set | None = None):
+        self.heap = [] if heap is None else heap
+        self.found = found
+        self.seen = set() if seen is None else seen
+
+    def copy(self) -> "_Agenda":
+        return _Agenda(list(self.heap), self.found, set(self.seen))
+
+    def push(self, pos: int, env: dict[Var, Element]) -> None:
+        heapq.heappush(self.heap, (pos, self.found, env))
+        self.found += 1
+
+
 @dataclass
 class Branch:
     """One branch of the disjunctive chase."""
@@ -60,6 +96,9 @@ class Branch:
     consistent: bool = True
     complete: bool = True
     _null_counter: int = 0
+    # None until the branch's first full scan, and again after an EGD
+    # merge renames its elements or the branch runs out of triggers.
+    agenda: _Agenda | None = field(default=None, repr=False, compare=False)
 
     def clone(self) -> "Branch":
         return Branch(
@@ -68,6 +107,7 @@ class Branch:
             consistent=self.consistent,
             complete=self.complete,
             _null_counter=self._null_counter,
+            agenda=None if self.agenda is None else self.agenda.copy(),
         )
 
     def fresh_null(self, creation_depth: int) -> Null:
@@ -108,19 +148,34 @@ class ChaseResult:
         return branch.interp
 
 
+class _RulePlan(NamedTuple):
+    body: Pattern
+    heads: tuple[Pattern, ...]
+    frontier: tuple[Var, ...]  # frontier variables, in enumeration order
+
+
+def _plan(rule: DisjunctiveRule) -> _RulePlan:
+    """The rule's body pattern, one pattern per head and its frontier
+    order, compiled on first use and cached on the rule (not a dataclass
+    field, so it takes no part in equality, hashing or repr).  A head is
+    matched with the body and frontier variables bound, so those count as
+    bound in its join order."""
+    plan = getattr(rule, "_chase_plan", None)
+    if plan is None:
+        frontier = tuple(sorted(rule.frontier_vars()))
+        bound = rule.body_vars() | set(frontier)
+        plan = _RulePlan(Pattern(rule.body),
+                         tuple(Pattern(head.atoms, bound=bound)
+                               for head in rule.heads),
+                         frontier)
+        object.__setattr__(rule, "_chase_plan", plan)
+    return plan
+
+
 def _rule_patterns(rule: DisjunctiveRule) -> tuple[Pattern, tuple[Pattern, ...]]:
-    """The rule's body pattern and one pattern per head, compiled on first
-    use and cached on the rule (not a dataclass field, so it takes no part
-    in equality, hashing or repr).  A head is matched with the body and
-    frontier variables bound, so those count as bound in its join order."""
-    patterns = getattr(rule, "_match_patterns", None)
-    if patterns is None:
-        bound = rule.body_vars() | rule.frontier_vars()
-        patterns = (Pattern(rule.body),
-                    tuple(Pattern(head.atoms, bound=bound)
-                          for head in rule.heads))
-        object.__setattr__(rule, "_match_patterns", patterns)
-    return patterns
+    """The rule's body pattern and one pattern per head (see :func:`_plan`)."""
+    plan = _plan(rule)
+    return plan.body, plan.heads
 
 
 def _head_satisfied(head: Head, pattern: Pattern, interp: Interpretation,
@@ -139,16 +194,24 @@ def _head_satisfied(head: Head, pattern: Pattern, interp: Interpretation,
     return False
 
 
-def _apply_head(branch: Branch, head: Head, env: dict[Var, Element]) -> None:
-    """Add the head's atoms, with ``count`` fresh witness blocks."""
+def _apply_head(branch: Branch, head: Head,
+                env: dict[Var, Element]) -> list[Atom]:
+    """Add the head's atoms, with ``count`` fresh witness blocks; returns
+    the facts that were new."""
     base_depth = max((branch.depth.get(e, 0) for e in env.values()), default=0)
+    interp = branch.interp
+    added: list[Atom] = []
     for _block in range(head.count):
         mapping: dict[Var, Element] = dict(env)
         for v in head.exist_vars:
             mapping[v] = branch.fresh_null(base_depth + 1)
         for atom in head.atoms:
             args = tuple(mapping[t] if isinstance(t, Var) else t for t in atom.args)
-            branch.interp.add(Atom(atom.pred, args))
+            fact, size = Atom(atom.pred, args), len(interp)
+            interp.add(fact)
+            if len(interp) > size:
+                added.append(fact)
+    return added
 
 
 def _rule_matches(
@@ -156,14 +219,54 @@ def _rule_matches(
     interp: Interpretation,
     domain: Sequence[Element],
     frontier: Sequence[Var],
+    delta: Interpretation | None = None,
 ) -> Iterator[dict[Var, Element]]:
-    """Body matches extended over the active domain for frontier variables."""
-    for env in body.matches(interp):
+    """Body matches extended over the active domain for frontier variables.
+
+    With *delta*, a set of facts of *interp*, only the body matches that
+    use one of them: the seeded delta join, seeded at each body atom over
+    a predicate of *delta*."""
+    if delta is None:
+        envs: Iterator[dict[Var, Element]] = body.matches(interp)
+    else:
+        envs = itertools.chain.from_iterable(
+            body.matches(interp, delta=delta, seed=i)
+            for i, atom in enumerate(body.atoms) if delta.count(atom.pred))
+    for env in envs:
         if not frontier:
             yield env
             continue
         for combo in itertools.product(domain, repeat=len(frontier)):
             yield {**env, **dict(zip(frontier, combo))}
+
+
+def _discover(agenda: _Agenda, rules: Sequence[DisjunctiveRule],
+              interp: Interpretation, delta: Interpretation | None = None,
+              grew: bool = True) -> None:
+    """Push the active triggers of *rules* on *interp* onto *agenda*.
+
+    Without *delta* every one is found: a full scan.  With *delta*, the
+    facts a firing just added to *interp*, only those whose body match
+    uses one of them.  A rule with frontier variables is enumerated whole
+    again when the domain *grew*, since its frontier ranges over every
+    element; the triggers it found before are skipped.
+    """
+    domain: list[Element] = []
+    for pos, rule in enumerate(rules):
+        body, heads, frontier = _plan(rule)
+        if frontier and not domain:
+            domain = sorted(interp.dom(), key=repr)
+        whole = frontier and grew
+        for env in _rule_matches(body, interp, domain, frontier,
+                                 None if whole else delta):
+            if frontier:
+                key = (pos, frozenset(env.items()))
+                if key in agenda.seen:
+                    continue
+                agenda.seen.add(key)
+            if not any(_head_satisfied(h, p, interp, env)
+                       for h, p in zip(rule.heads, heads)):
+                agenda.push(pos, env)
 
 
 def _enforce_functionality(branch: Branch, onto: Ontology) -> None:
@@ -202,22 +305,6 @@ def _merge_pairs(branch: Branch, rel: str, key_pos: int) -> bool:
     return False
 
 
-def _active_triggers(
-    branch: Branch, rules: Sequence[DisjunctiveRule],
-) -> Iterator[tuple[DisjunctiveRule, dict[Var, Element]]]:
-    """The active triggers of *rules* on *branch*, in rule order: body
-    matches (extended over the active domain for frontier variables)
-    under which no head disjunct is satisfied yet."""
-    domain = sorted(branch.interp.dom(), key=repr)
-    for rule in rules:
-        frontier = sorted(rule.frontier_vars())
-        body, heads = _rule_patterns(rule)
-        for env in _rule_matches(body, branch.interp, domain, frontier):
-            if not any(_head_satisfied(h, p, branch.interp, env)
-                       for h, p in zip(rule.heads, heads)):
-                yield rule, env
-
-
 def chase(
     onto: Ontology,
     instance: Interpretation,
@@ -251,6 +338,12 @@ def chase(
     firings count as steps, and search nodes count against
     *max_branches*.  *pruned*, the number of rules the caller left out of
     both lists, is only recorded on the span.
+
+    Each branch is expanded from its agenda (module docstring): a full
+    scan of the rules when the branch is first expanded or after an EGD
+    merge, otherwise only the triggers the previous firing's new facts
+    create.  The search's root gets its own copy of the branch's facts,
+    since a one-head rule fires in place.
     """
     if rules is None:
         rules = convert_ontology(onto)
@@ -267,19 +360,49 @@ def chase(
     done: list[Branch] = []
     steps = 0
     search_nodes = 0
+    egd_preds = onto.functional | onto.inverse_functional
+    faulted = budget is not None and bool(budget.faults)
+
+    def fire(branch: Branch, head: Head, env: dict[Var, Element],
+             rule_set: Sequence[DisjunctiveRule]) -> None:
+        """Apply *head* under *env* to *branch* in place, restore the
+        EGDs, and queue the triggers the new facts create."""
+        interp = branch.interp
+        added = _apply_head(branch, head, env)
+        if any(fact.pred in egd_preds for fact in added):
+            _enforce_functionality(branch, onto)
+            if branch.interp is not interp:
+                branch.agenda = None  # merged: rescan the renamed branch
+        if branch.consistent and branch.agenda is not None:
+            grew = bool(head.exist_vars) or any(
+                not isinstance(t, Var) for a in head.atoms for t in a.args)
+            _discover(branch.agenda, rule_set, interp, Interpretation(added),
+                      grew)
+        if san and branch.consistent:
+            san.check_branch(branch, onto, max_depth, base_dom)
 
     def expand(branch: Branch,
                rule_set: Sequence[DisjunctiveRule]) -> list[Branch] | None:
         """Fire the first active trigger of *rule_set* on *branch*.  Returns
-        its successor branches; ``[]`` when a constraint fired (the branch
-        is then inconsistent); ``None`` when no trigger can fire (those cut
-        off by the depth bound mark the branch incomplete)."""
+        its successor branches (``[branch]``, fired in place, for a
+        one-head rule); ``[]`` when a constraint fired (the branch is then
+        inconsistent); ``None`` when no trigger can fire (those cut off by
+        the depth bound mark the branch incomplete)."""
         nonlocal steps
         if budget is not None:
             budget.check_deadline("chase")
         if len(branch.interp) > max_facts:
             raise ChaseError(f"branch exceeded {max_facts} facts")
-        for rule, env in _active_triggers(branch, rule_set):
+        agenda = branch.agenda
+        if agenda is None:
+            agenda = branch.agenda = _Agenda()
+            _discover(agenda, rule_set, branch.interp)
+        while agenda.heap:
+            pos, _, env = heapq.heappop(agenda.heap)
+            rule = rule_set[pos]
+            if any(_head_satisfied(h, p, branch.interp, env)
+                   for h, p in zip(rule.heads, _plan(rule).heads)):
+                continue
             if rule.is_constraint():
                 branch.consistent = False
                 return []
@@ -302,15 +425,13 @@ def chase(
                         len(h.exist_vars) * h.count for h in rule.heads))
             if san:
                 san.check_firing(rule, branch.interp, env)
-            successors = []
-            for head in rule.heads:
-                succ = branch.clone()
-                _apply_head(succ, head, env)
-                _enforce_functionality(succ, onto)
-                if san and succ.consistent:
-                    san.check_branch(succ, onto, max_depth, base_dom)
-                successors.append(succ)
+            successors = [branch.clone() for _ in rule.heads[1:]] + [branch]
+            for head, succ in zip(rule.heads, successors):
+                fire(succ, head, env, rule_set)
             return successors
+        if san:
+            san.check_quiescent(branch, rule_set, max_depth, faulted)
+        branch.agenda = None
         return None
 
     def completes(branch: Branch) -> bool:
@@ -318,9 +439,7 @@ def chase(
         consistent?  Marks *branch* incomplete when only truncated
         completions do."""
         nonlocal search_nodes
-        # The root shares the branch's facts: expand() never changes a
-        # branch's facts, only those of its (cloned) successors.
-        stack = [Branch(branch.interp, branch.depth,
+        stack = [Branch(branch.interp.copy(), dict(branch.depth),
                         _null_counter=branch._null_counter)]
         nodes, open_leaf = 1, False
         try:

@@ -403,17 +403,14 @@ class ReproServer:
 
     def _jobset_budget(self, jobset: JobSet) -> Budget | None:
         """The evaluation budget: the submission's ``options.budget``
-        spec, clamped by whatever remains of its deadline."""
-        budget = (Budget.from_spec(str(jobset.budget)) if jobset.budget
-                  else None)
+        spec, bounded by whatever remains of its deadline.  The bound is
+        the budget's not-after time, which every job's share and every
+        retry's escalated budget keep."""
+        spec = str(jobset.budget) if jobset.budget else ""
         remaining = jobset.deadline_remaining(self._clock())
-        if remaining is not None:
-            if budget is None:
-                budget = Budget()
-            if budget.timeout is None or remaining < budget.timeout:
-                budget.timeout = remaining
-                budget.deadline = budget._start + remaining
-        return budget
+        if remaining is None:
+            return Budget.from_spec(spec) if spec else None
+        return Budget.from_spec(spec, time_left=remaining)
 
     def _run_jobset(self, jobset: JobSet) -> None:
         with self._cond:

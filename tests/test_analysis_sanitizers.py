@@ -5,6 +5,8 @@ directly, proving that each invariant check actually fires — a sanitizer
 that never raises is indistinguishable from one that checks nothing.
 """
 
+import importlib
+
 import pytest
 
 from repro.analysis.sanitizers import (
@@ -17,6 +19,9 @@ from repro.logic.syntax import Atom, Const, Null, Var
 from repro.semantics.cdcl import Solver
 from repro.semantics.chase import Branch, chase
 from repro.semantics.rules import DisjunctiveRule, Head
+
+# The package re-exports the function under the module's name.
+chase_module = importlib.import_module("repro.semantics.chase")
 
 
 class TestEnablement:
@@ -125,6 +130,68 @@ class TestChaseSanitizer:
             functional=["R"])
         result = chase(onto, make_instance("A(a)"), sanitize=True)
         assert result.is_consistent
+
+    # -- quiescence
+
+    CHAIN = [DisjunctiveRule((Atom("A", (x,)),), (Head((Atom("B", (x,)),), ()),)),
+             DisjunctiveRule((Atom("B", (x,)),), (Head((Atom("C", (x,)),), ()),))]
+    CYCLE = [DisjunctiveRule((Atom("P", (x,)),),
+                             (Head((Atom("R", (x, y)), Atom("P", (y,))), (y,)),))]
+
+    def test_quiescent_green(self):
+        self.san.check_quiescent(_branch("A(a)", "B(a)", "C(a)"),
+                                 self.CHAIN, max_depth=3)
+        branch = _branch("P(a)")
+        n = branch.fresh_null(1)
+        branch.interp.add(Atom("R", (Const("a"), n)))
+        branch.interp.add(Atom("P", (n,)))
+        branch.complete = False  # n's witness sits beyond depth 1
+        self.san.check_quiescent(branch, self.CYCLE, max_depth=1)
+
+    def test_quiescent_missed_horn_trigger_seeded(self):
+        with pytest.raises(SanitizerError, match="creates no nulls"):
+            self.san.check_quiescent(_branch("A(a)", "B(a)"), self.CHAIN,
+                                     max_depth=3)
+
+    def test_quiescent_complete_branch_with_open_trigger_seeded(self):
+        with pytest.raises(SanitizerError, match="marked complete"):
+            self.san.check_quiescent(_branch("P(a)"), self.CYCLE,
+                                     max_depth=3)
+
+    def test_quiescent_trigger_within_the_bound_seeded(self):
+        branch = _branch("P(a)")
+        branch.complete = False
+        with pytest.raises(SanitizerError, match="within the bound 3"):
+            self.san.check_quiescent(branch, self.CYCLE, max_depth=3)
+        # under a fault plan chase_truncate may cut any trigger
+        self.san.check_quiescent(branch, self.CYCLE, max_depth=3,
+                                 faulted=True)
+
+    def test_chase_with_a_dropped_trigger_fails_quiescence(self, monkeypatch):
+        real = chase_module._discover
+        dropped = []
+
+        def discover(agenda, rules, interp, delta=None, grew=True):
+            before = len(agenda.heap)
+            real(agenda, rules, interp, delta, grew)
+            if delta is not None and not dropped and len(agenda.heap) > before:
+                dropped.append(agenda.heap.pop())  # a leaf: still a heap
+
+        monkeypatch.setattr(chase_module, "_discover", discover)
+        onto = ontology("forall x (A(x) -> B(x))\nforall x (B(x) -> C(x))")
+        with pytest.raises(SanitizerError, match="missed trigger"):
+            chase(onto, make_instance("A(a)"), sanitize=True)
+        assert len(dropped) == 1
+
+    def test_unpatched_chase_passes_quiescence(self):
+        onto = ontology("forall x (A(x) -> B(x))\nforall x (B(x) -> C(x))")
+        (branch,) = chase(onto, make_instance("A(a)"), sanitize=True).branches
+        assert Atom("C", (Const("a"),)) in branch.interp
+        cyclic = ontology(
+            "forall x (P(x) -> exists y (R(x,y) & P(y)))")
+        (branch,) = chase(cyclic, make_instance("P(a)"), max_depth=2,
+                          sanitize=True).branches
+        assert not branch.complete
 
 
 class TestCdclSanitizer:

@@ -348,6 +348,27 @@ class TestBudgetEscalated:
         with pytest.raises(ValueError):
             Budget().escalated(0)
 
+    def test_not_after_survives_escalation_and_split(self, no_ambient_faults):
+        now = [100.0]
+        base = Budget(timeout=1.0, time_left=0.5, clock=lambda: now[0])
+        assert base.not_after == 100.5
+        assert base.remaining() == pytest.approx(0.5)
+        retry = base.escalated(16.0)
+        assert retry.timeout == pytest.approx(16.0)
+        assert retry.not_after == 100.5
+        shares = base.split(2)
+        assert [b.not_after for b in shares] == [100.5, 100.5]
+        assert [b.timeout for b in shares] == [pytest.approx(0.25)] * 2
+        now[0] = 100.4
+        retry.check_deadline("test")  # 0.1 s left of the request
+        assert retry.to_kwargs()["time_left"] == pytest.approx(0.1)
+        now[0] = 100.5
+        for budget in (retry, *shares):
+            with pytest.raises(BudgetExceeded) as exc:
+                budget.check_deadline("test")
+            assert exc.value.resource == "deadline"
+        assert Budget(**base.to_kwargs()).remaining() == 0.0
+
     def test_retry_after_starved_split_child_succeeds(self, no_ambient_faults):
         # End to end: a split child too small to answer, escalated into one
         # that is.  This is the satellite regression — retries must never

@@ -474,6 +474,39 @@ def test_daemon_retries_a_starved_job_under_an_escalated_budget(
     assert result["report"]["stats"]["resilience"]["retries"] == 1
 
 
+def _pigeonhole_job(pigeons: int = 9, holes: int = 8) -> tuple[str, dict]:
+    """More pigeons than holes: D is inconsistent, the chase runs out of
+    branches, and the SAT rung's refutation takes about a minute."""
+    onto = ["forall x (P(x) -> "
+            + " | ".join(f"H{h}(x)" for h in range(holes)) + ")"]
+    onto += [f"forall x,y (N(x,y) -> (H{h}(x) -> ~H{h}(y)))"
+             for h in range(holes)]
+    facts = [f"P(p{i})" for i in range(pigeons)]
+    facts += [f"N(p{i},p{j})" for i in range(pigeons)
+              for j in range(i + 1, pigeons)]
+    return "\n".join(onto), {"query": "q() <- Z(x)", "facts": facts}
+
+
+def test_deadline_bounds_the_retries_of_a_job_set(server, no_ambient_faults):
+    # Under the retry policy the second attempt gets a sixteen times
+    # larger budget, but not past the job set's deadline.
+    deadline, checkpoint = 0.5, 0.25
+    srv = server(retry=RetryPolicy(max_attempts=2, escalation=16))
+    onto, job = _pigeonhole_job()
+    start = time.monotonic()
+    status, accepted, _ = api(srv, "POST", "/v1/jobsets", {
+        "ontology": onto, "jobs": [job], "deadline": deadline})
+    assert status == 202
+    result = wait_terminal(srv, accepted["id"])
+    assert time.monotonic() - start < deadline + checkpoint + 0.25
+    [job] = result["report"]["jobs"]
+    assert job["status"] == "unknown"
+    assert job["outcome"]["reason"].startswith(
+        "resource_exhausted: deadline")
+    assert [a["status"] for a in job["attempts"]] == ["unknown", "unknown"]
+    assert sum(a["elapsed"] for a in job["attempts"]) < deadline + checkpoint
+
+
 def test_submission_larger_than_the_queue_is_413_without_retry_after(
         server):
     srv = server(max_queued_jobs=2)
