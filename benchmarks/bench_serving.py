@@ -30,8 +30,8 @@ across a batch.  This bench measures both:
   gate): the measurement behind ``fastpath="off"`` as the one default.
 * **storage backends** — the shared answer store behind ``AnswerCache``
   is pluggable (:mod:`repro.storage`); the smoke gate bounds the
-  sqlite: and shard: warm-hit lookup at 25% over the dir: baseline,
-  so choosing a concurrency-safe backend stays cheap.
+  sqlite: warm-hit lookup at 25% over the dir: baseline, so choosing
+  the backend with eviction and hit statistics stays cheap.
 * **serving daemon** — a warm ``repro serve`` process holds compiled
   plans and answer caches across requests; the smoke gate asserts a
   warm-server HTTP round trip beats a one-shot ``repro batch``
@@ -468,9 +468,9 @@ def storage_comparison(repeats: int = 9) -> dict:
     so it is the one whose cost decides backend choice.  Each backend is
     pre-populated with the same entries; a pass reads them all back.
     The dir: backend (the flat file store, one ``<key>.json`` per entry)
-    is the baseline; sqlite: and shard: are each paired against it
-    (:func:`_paired_best`, so machine drift hits both sides equally) and
-    gated at ≤25% overhead.
+    is the baseline; sqlite: is paired against it (:func:`_paired_best`,
+    so machine drift hits both sides equally) and gated at ≤25%
+    overhead.
     """
     import os
     import shutil
@@ -486,7 +486,6 @@ def storage_comparison(repeats: int = 9) -> dict:
     uris = {
         "dir": f"dir:{os.path.join(tmpdir, 'd')}",
         "sqlite": f"sqlite:{os.path.join(tmpdir, 'c.db')}",
-        "shard": f"shard:{os.path.join(tmpdir, 's')}?shards=16",
     }
     backends = {name: open_backend(uri) for name, uri in uris.items()}
     try:
@@ -501,18 +500,18 @@ def storage_comparison(repeats: int = 9) -> dict:
                         raise RuntimeError("warm hit missed")
             return run
 
-        report = {"entries": len(keys)}
-        read_dir = reader(backends["dir"])
-        for name in ("sqlite", "shard"):
-            dir_s, other_s = _paired_best(read_dir, reader(backends[name]),
-                                          max(repeats, 15))
-            report.setdefault("dir", {})["warm_hit_s"] = round(dir_s, 6)
-            report[name] = {
-                "warm_hit_s": round(other_s, 6),
-                "overhead_vs_dir": (round(other_s / dir_s, 4)
+        dir_s, sqlite_s = _paired_best(reader(backends["dir"]),
+                                       reader(backends["sqlite"]),
+                                       max(repeats, 15))
+        return {
+            "entries": len(keys),
+            "dir": {"warm_hit_s": round(dir_s, 6)},
+            "sqlite": {
+                "warm_hit_s": round(sqlite_s, 6),
+                "overhead_vs_dir": (round(sqlite_s / dir_s, 4)
                                     if dir_s else 1.0),
-            }
-        return report
+            },
+        }
     finally:
         for backend in backends.values():
             backend.close()
@@ -683,7 +682,7 @@ def smoke() -> int:
     """CI gate: warm beats cold, worker count cannot change results, the
     disabled tracer and the enabled journal each cost at most 5% over
     their baselines, the datalog fast path matches and beats the ladder,
-    sqlite:/shard: warm hits stay within 25% of dir:, and a warm
+    sqlite: warm hits stay within 25% of dir:, and a warm
     serving daemon beats a one-shot batch subprocess."""
     report = measure(repeats=5)
     # Overhead gates, best-of-3: on a contended machine a single paired
@@ -733,23 +732,19 @@ def smoke() -> int:
             f"fastpath ({fp['fastpath_s']:.6f}s) does not beat the "
             f"ladder ({fp['ladder_s']:.6f}s)")
     for _ in range(2):
-        # storage gate, best-of-3 like the overhead gates: the sqlite and
-        # shard warm-hit paths must stay within 25% of the dir: baseline
-        worst = max(report["storage"][b]["overhead_vs_dir"]
-                    for b in ("sqlite", "shard"))
-        if worst <= 1.25:
+        # storage gate, best-of-3 like the overhead gates: the sqlite
+        # warm-hit path must stay within 25% of the dir: baseline
+        if report["storage"]["sqlite"]["overhead_vs_dir"] <= 1.25:
             break
         retry = storage_comparison(repeats=5)
-        retry_worst = max(retry[b]["overhead_vs_dir"]
-                          for b in ("sqlite", "shard"))
-        if retry_worst < worst:
+        if (retry["sqlite"]["overhead_vs_dir"]
+                < report["storage"]["sqlite"]["overhead_vs_dir"]):
             report["storage"] = retry
-    for name in ("sqlite", "shard"):
-        overhead = report["storage"][name]["overhead_vs_dir"]
-        if overhead > 1.25:
-            failures.append(
-                f"{name}: warm-hit lookup {overhead:.4f}x the dir: "
-                f"baseline exceeds the 25% budget")
+    overhead = report["storage"]["sqlite"]["overhead_vs_dir"]
+    if overhead > 1.25:
+        failures.append(
+            f"sqlite: warm-hit lookup {overhead:.4f}x the dir: "
+            f"baseline exceeds the 25% budget")
     for _ in range(2):
         # warm-server gate, best-of-3: the one-shot side includes a full
         # interpreter start, so the margin is normally huge, but a loaded

@@ -31,11 +31,12 @@ per push, ``serve`` the daemon pair, ``all`` everything):
                        fault-free report exactly
 ``storage-faults``     ``storage:get/put/busy`` faults on a shared sqlite
                        tier: answers unchanged, tier verifies clean
-``torn-writes``        ``storage:torn`` lands corrupt entries; a clean
-                       second run must evict, recompute and leave the tier
-                       verifiably clean
-``concurrent-coherence`` two drivers race on one shared backend: both
-                       reports correct, tier coherent afterwards
+``torn-writes``        ``storage:torn`` lands corrupt entries in a
+                       ``dir:`` tier; a clean second run must evict,
+                       recompute and leave the tier verifiably clean
+``concurrent-coherence`` two drivers race on one shared ``sqlite:``, then
+                       one ``dir:`` tier: both reports correct, tier
+                       coherent afterwards
 ``serve-baseline``     live daemon round-trip: report parity, ``/healthz``
                        storage probe ok, ``repro_storage_healthy`` gauge,
                        SIGTERM drains to exit 0
@@ -443,7 +444,7 @@ class ChaosDriver:
 
     def _ep_torn_writes(self, result: EpisodeResult) -> None:
         family = "disjunctive"
-        cache = f"shard:{self.workdir / 'torn-writes'}"
+        cache = f"dir:{self.workdir / 'torn-writes'}"
         faults = f"storage:torn:{self.schedule['torn_rate']}"
         result.faults = (faults,)
         reference = self.reference(family)
@@ -476,7 +477,7 @@ class ChaosDriver:
         reference = self.reference(family)
         for scheme, uri in (
                 ("sqlite", f"sqlite:{self.workdir / 'concurrent.db'}"),
-                ("shard", f"shard:{self.workdir / 'concurrent-shard'}")):
+                ("dir", f"dir:{self.workdir / 'concurrent-dir'}")):
             procs = [subprocess.Popen(
                 self._batch_cmd(family, "--cache-backend", uri),
                 env=self._env(), stdout=subprocess.PIPE,

@@ -40,10 +40,10 @@ Commands:
   rewriting of an (ontology, query) pair; ``--emit`` prints the optimized
   program.
 * ``cache (stats | evict --older-than S | verify) BACKEND`` — inspect
-  and maintain a shared answer-cache backend named by URI (``dir:PATH``,
-  ``sqlite:PATH``, ``shard:PATH?shards=N``; see ``docs/storage.md``).
-  ``verify`` re-hashes every entry against its content-addressed key and
-  exits 1 when any entry is corrupt.
+  and maintain a shared answer-cache backend named by URI (``dir:PATH``
+  or ``sqlite:PATH``; see ``docs/storage.md``).  ``verify`` checks that
+  every ``dir:`` entry parses as JSON, re-hashes every ``sqlite:`` row
+  against its stored digest, and exits 1 when any entry is corrupt.
 * ``chaos generate`` / ``chaos run`` — the seeded workload generator and
   the invariant-checking chaos harness (``--seed N --profile
   smoke|batch|serve|all``; see ``docs/robustness.md``): everything is a
@@ -647,7 +647,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             print(f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'} "
                   f"not used in {args.older_than:g}s")
             return 0
-        # verify: re-hash every entry against its content-addressed key.
+        # verify: dir: entries must parse, sqlite: rows must match their
+        # stored digests.
         corrupt = backend.verify()
         total = sum(1 for _ in backend.scan())
         for key in corrupt:
@@ -775,10 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "--cache-backend dir:DIR)")
         group.add_argument("--cache-backend", metavar="URI",
                            help="durable answer-cache backend shared across "
-                                "invocations and worker processes: dir:PATH, "
-                                "sqlite:PATH[?max_bytes=N&ttl=S] or "
-                                "shard:PATH[?shards=N] (see docs/storage.md; "
-                                "default: $REPRO_CACHE_BACKEND)")
+                                "invocations and worker processes: dir:PATH "
+                                "or sqlite:PATH[?max_bytes=N&ttl=S] (see "
+                                "docs/storage.md; default: "
+                                "$REPRO_CACHE_BACKEND)")
 
     p_eval = sub.add_parser("evaluate", aliases=["eval"],
                             help="compute certain answers")
@@ -935,8 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("backend_uri", metavar="BACKEND",
-                       help="backend URI: dir:PATH, sqlite:PATH, "
-                            "shard:PATH?shards=N (a bare path means dir:)")
+                       help="backend URI: dir:PATH or sqlite:PATH (a "
+                            "bare path means dir:)")
 
     p_cstats = cache_sub.add_parser(
         "stats", help="entry count and hit/miss/error accounting")
@@ -952,8 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evict entries not used in this many seconds")
     p_cevict.set_defaults(func=cmd_cache)
     p_cverify = cache_sub.add_parser(
-        "verify", help="re-hash every entry against its content-addressed "
-                       "key; exit 1 when any entry is corrupt")
+        "verify", help="check every entry (dir: parses each file as JSON, "
+                       "sqlite: re-hashes each row against its stored "
+                       "digest); exit 1 when any entry is corrupt")
     add_backend_arg(p_cverify)
     p_cverify.set_defaults(func=cmd_cache)
 

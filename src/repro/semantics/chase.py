@@ -33,6 +33,9 @@ frontier variables is enumerated again whenever the firing may have
 grown the domain.  Head satisfaction is re-checked when a trigger is
 popped, which keeps the chase restricted.  A one-head rule fires in
 place; a k-head rule clones the branch, agenda included, k-1 times.
+The EGDs are checked the same way: a firing can only violate one in the
+key group of a fact it added, and only then are they run to a fixpoint
+over the whole branch.
 
 A query need not see every rule (:func:`repro.semantics.rules.split_rules`).
 Given *deferred* rules, which only feed integrity constraints, the chase
@@ -269,8 +272,19 @@ def _discover(agenda: _Agenda, rules: Sequence[DisjunctiveRule],
                 agenda.push(pos, env)
 
 
-def _enforce_functionality(branch: Branch, onto: Ontology) -> None:
-    """Apply the EGDs for (inverse-)functional relations to a fixpoint."""
+def _enforce_functionality(branch: Branch, onto: Ontology,
+                           added: Sequence[Atom] | None = None) -> None:
+    """Apply the EGDs for (inverse-)functional relations to a fixpoint.
+
+    With *added*, the facts a firing just added to a branch that was
+    EGD-clean before it, only a key group holding one of them can be
+    violated: when none of those groups holds two values the branch is
+    still clean and nothing else is read.  Otherwise, and without
+    *added*, every tuple of every such relation is read to a fixpoint.
+    """
+    if added is not None and not _violates_functionality(
+            branch.interp, onto, added):
+        return
     changed = True
     while changed and branch.consistent:
         changed = False
@@ -282,6 +296,21 @@ def _enforce_functionality(branch: Branch, onto: Ontology) -> None:
             changed |= _merge_pairs(branch, rel, key_pos=1)
             if not branch.consistent:
                 return
+
+
+def _violates_functionality(interp: Interpretation, onto: Ontology,
+                            added: Sequence[Atom]) -> bool:
+    """Does the key group of some fact in *added* hold two values?"""
+    for fact in added:
+        for roles, key_pos in ((onto.functional, 0),
+                               (onto.inverse_functional, 1)):
+            if fact.pred in roles:
+                group = interp.candidate_tuples(
+                    fact.pred, [(key_pos, fact.args[key_pos])])
+                # A second tuple under the fact's key: a second value.
+                if next(itertools.islice(group, 1, None), None) is not None:
+                    return True
+    return False
 
 
 def _merge_pairs(branch: Branch, rel: str, key_pos: int) -> bool:
@@ -370,7 +399,7 @@ def chase(
         interp = branch.interp
         added = _apply_head(branch, head, env)
         if any(fact.pred in egd_preds for fact in added):
-            _enforce_functionality(branch, onto)
+            _enforce_functionality(branch, onto, added)
             if branch.interp is not interp:
                 branch.agenda = None  # merged: rescan the renamed branch
         if branch.consistent and branch.agenda is not None:

@@ -520,8 +520,7 @@ class ReproServer:
 
     #: The sentinel key /healthz round-trips through the durable tier.
     #: Not fingerprint hex on purpose: it can never collide with a real
-    #: cached answer (the sharded backend files it via its crc32
-    #: fallback, which handles non-hex keys by design).
+    #: cached answer.
     PROBE_KEY = "healthz-probe"
 
     def storage_health(self) -> str | None:

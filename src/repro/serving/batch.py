@@ -567,9 +567,9 @@ def evaluate_batch(
 
     The durable answer tier is named by *cache_backend*, a
     :func:`repro.storage.base.open_backend` URI (``dir:PATH`` or a bare
-    path, ``sqlite:PATH?max_bytes=N&ttl=S``, ``shard:PATH?shards=N``);
-    worker processes each open their own handle on it, which is what the
-    sqlite and sharded backends exist for.  The backend's own accounting
+    path, ``sqlite:PATH?max_bytes=N&ttl=S``); worker processes each open
+    their own handle on it, and both backends take many writer processes
+    (atomic renames, sqlite transactions).  The backend's own accounting
     lands in ``stats["cache"]["backend"]``, and ``stats["cache"]["tripped"]``
     reports whether any process's write circuit breaker tripped during
     the batch (also logged once as a ``storage.breaker`` span).

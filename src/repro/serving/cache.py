@@ -12,8 +12,8 @@ Three layers, all keyed by the stable fingerprints of
   same ontology share one conversion (including the "not convertible"
   verdict, which is the expensive discovery for SAT-only ontologies).
 * :class:`AnswerCache` — the LRU in front of an optional durable tier, a
-  :class:`repro.storage.base.StorageBackend` (``dir:``, ``sqlite:`` or
-  ``shard:``), so repeated CLI invocations and worker processes hit warm
+  :class:`repro.storage.base.StorageBackend` (``dir:`` or ``sqlite:``),
+  so repeated CLI invocations and worker processes hit warm
   certain-answer results.
 
 Cached values are plain JSON-able dictionaries of definitive results

@@ -1,20 +1,16 @@
 """Pluggable shared cache/result backends for the serving stack.
 
-One protocol (:class:`~repro.storage.base.StorageBackend`), three
+One protocol (:class:`~repro.storage.base.StorageBackend`), two
 implementations selected by URI via :func:`~repro.storage.base.open_backend`:
 
 * ``dir:PATH`` — :class:`~repro.storage.directory.DirectoryBackend`, the
-  flat single-writer file store (``--cache-dir PATH`` is another
-  spelling of it).
+  flat file store, one atomically renamed ``<key>.json`` per entry
+  (``--cache-dir PATH`` is another spelling of it).
 * ``sqlite:PATH?max_bytes=N&ttl=S`` —
   :class:`~repro.storage.sqlite.SqliteBackend`, one WAL-mode file with
   real LRU/TTL eviction and persisted hit statistics.
-* ``shard:PATH?shards=N`` —
-  :class:`~repro.storage.sharded.ShardedDirectoryBackend`, the same file
-  store split into fingerprint-prefix shards with advisory locks for many
-  writers on shared storage.
 
-The base class owns the hit/miss/error accounting all three report.
+The base class owns the hit/miss/error accounting both report.
 ``REPRO_CACHE_BACKEND`` supplies the process default.  Decision guide in
 ``docs/storage.md``.
 """
@@ -32,14 +28,12 @@ from .base import (
     parse_backend_uri,
 )
 from .directory import DirectoryBackend
-from .sharded import ShardedDirectoryBackend
 from .sqlite import SqliteBackend
 
 __all__ = [
     "ENV_BACKEND",
     "DirectoryBackend",
     "EntryInfo",
-    "ShardedDirectoryBackend",
     "SqliteBackend",
     "StorageBackend",
     "StorageError",

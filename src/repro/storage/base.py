@@ -21,17 +21,18 @@ Contract (every backend, every method):
   caller.  :meth:`StorageBackend.put` raises :class:`UnstorableValue` on
   such a result dict (:func:`check_storable`) — loudly, because a caller
   that tries is a bug, not an I/O accident.
-* **Atomic entries.**  Readers never observe a torn write: directory
-  backends write via ``mkstemp`` + ``os.replace``, the sqlite backend via
-  transactions.  A corrupt entry (machine crash, bit rot) behaves as a
-  miss, is counted, and is evicted so it cannot keep failing.
+* **Atomic entries.**  Readers never observe a torn write: the
+  directory backend writes via ``mkstemp`` + ``os.replace``, the sqlite
+  backend via transactions.  A corrupt entry (machine crash, bit rot)
+  behaves as a miss, is counted, and is evicted so it cannot keep
+  failing.
 * **close() is idempotent** and flushes any buffered accounting.
 
-Backends are selected by URI (``dir:PATH``, ``sqlite:PATH``,
-``shard:PATH?shards=N``) via :func:`open_backend`; a bare path means
-``dir:``.  The ``REPRO_CACHE_BACKEND`` environment variable supplies a
-process-wide default (:func:`default_backend_uri`).  See
-``docs/storage.md`` for the decision guide.
+Backends are selected by URI (``dir:PATH``, ``sqlite:PATH``) via
+:func:`open_backend`; a bare path means ``dir:``.  The
+``REPRO_CACHE_BACKEND`` environment variable supplies a process-wide
+default (:func:`default_backend_uri`).  See ``docs/storage.md`` for the
+decision guide.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
 #: The environment variable naming the default shared cache backend.
 ENV_BACKEND = "REPRO_CACHE_BACKEND"
 
-_SCHEMES = ("dir", "sqlite", "shard")
+_SCHEMES = ("dir", "sqlite")
 
 #: Query arguments each scheme understands; anything else is a typo and
 #: is rejected by :func:`parse_backend_uri` (a misspelled ``ttl`` must
@@ -61,7 +62,6 @@ _SCHEMES = ("dir", "sqlite", "shard")
 _KNOWN_ARGS: dict[str, tuple[str, ...]] = {
     "dir": (),
     "sqlite": ("max_bytes", "ttl"),
-    "shard": ("shards",),
 }
 # What counts as "looks like a URI scheme" for the bare-path fallback:
 # a short lowercase word before the colon.  Anything longer or mixed
@@ -108,7 +108,7 @@ class EntryInfo:
     """One stored entry as reported by :meth:`StorageBackend.scan`.
 
     ``hits`` is ``None`` for backends that do not track per-entry hit
-    counts (the directory backends); ``last_used`` falls back to the
+    counts (the directory backend); ``last_used`` falls back to the
     write time where reads do not touch metadata.
     """
 
@@ -138,7 +138,7 @@ class StorageBackend(abc.ABC):
     also serializes its connection under it and counts while holding it).
     """
 
-    #: The URI scheme this backend answers to (``dir``/``sqlite``/``shard``).
+    #: The URI scheme this backend answers to (``dir``/``sqlite``).
     scheme: str = "?"
 
     def __init__(self) -> None:
@@ -204,11 +204,11 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def verify(self) -> list[str]:
-        """Re-check every entry against its content digest.
+        """Re-check every stored entry.
 
-        Returns the keys of corrupt entries (unparseable payloads, digest
-        mismatches, entries filed under the wrong key).  Never mutates the
-        store — eviction is the read path's job.
+        Returns the keys of corrupt entries: unparseable payloads, and
+        digest mismatches where the backend stores a digest.  Never
+        mutates the store — eviction is the read path's job.
         """
 
     @abc.abstractmethod
@@ -242,9 +242,9 @@ class StorageBackend(abc.ABC):
 def parse_backend_uri(uri: str) -> tuple[str, str, dict[str, str]]:
     """Split a backend URI into ``(scheme, path, query-args)``.
 
-    ``dir:PATH``, ``sqlite:PATH`` and ``shard:PATH?shards=N`` are the
-    recognized forms; a bare path (no scheme prefix) is a directory
-    backend, so every existing ``--cache-dir`` value is a valid URI.
+    ``dir:PATH`` and ``sqlite:PATH`` are the recognized forms; a bare
+    path (no scheme prefix) is a directory backend, so every existing
+    ``--cache-dir`` value is a valid URI.
     Something that *looks* like a scheme but is not one — ``redis:x``,
     ``sqllite:c.db`` — is an error, not a directory named after the
     typo.  Query arguments are validated here too: an unknown argument
@@ -307,9 +307,8 @@ def open_backend(uri: str) -> StorageBackend:
     """Construct the backend a URI names (see :func:`parse_backend_uri`).
 
     Recognized query arguments: ``sqlite:PATH?max_bytes=N&ttl=S`` (size
-    budget in bytes, time-to-live in seconds) and ``shard:PATH?shards=N``.
-    Unknown arguments are an error — a typo must not silently change the
-    eviction policy.
+    budget in bytes, time-to-live in seconds).  Unknown arguments are an
+    error — a typo must not silently change the eviction policy.
     """
     scheme, path, args = parse_backend_uri(uri)
     try:
@@ -321,16 +320,12 @@ def open_backend(uri: str) -> StorageBackend:
                 max_bytes=_int_arg(uri, args, "max_bytes", None),
                 ttl=_float_arg(uri, args, "ttl", None),
             )
-        elif scheme == "shard":
-            from .sharded import ShardedDirectoryBackend
-
-            # None defers to the tree's pinned shard count (or 16 fresh).
-            shards = _int_arg(uri, args, "shards", None)
-            backend = ShardedDirectoryBackend(path, shards=shards)
         else:
             from .directory import DirectoryBackend
 
             backend = DirectoryBackend(path)
+    except StorageError:
+        raise  # a bad argument, already named with its URI
     except (OSError, ValueError) as exc:
         raise StorageError(f"storage URI {uri!r}: {exc}") from exc
     return backend

@@ -1,4 +1,4 @@
-"""The directory backend: the flat file store every directory tier shares.
+"""The directory backend: the flat file store.
 
 One ``<key>.json`` file per entry holding ``json.dumps(value)``, written
 atomically via ``mkstemp`` + ``os.replace`` — the format of every flat
@@ -8,20 +8,17 @@ cache directory written so far (``--cache-dir`` is another spelling of
 * **Per entry** — a corrupt or truncated file (a machine crash mid-write
   on a non-atomic filesystem, a disk-full half-write) reads as a miss, is
   counted in ``read_errors`` and is unlinked so it cannot keep failing.
-* **Per process** — ``max_consecutive_errors`` failed *writes* in a row
-  trip a circuit breaker: the store stops touching the disk for the rest
+* **Per process** — :data:`MAX_CONSECUTIVE_ERRORS` failed *writes* in a
+  row trip a circuit breaker: the store stops touching the disk for the rest
   of the process (every ``get`` a miss, every ``put`` a no-op), so a dead
   or read-only volume costs a bounded number of syscalls instead of two
   per job forever.  ``tripped`` is exposed in :meth:`stats`.
 
-:class:`~repro.storage.sharded.ShardedDirectoryBackend` reuses all of
-this and overrides only the layout and the entry format, through five
-hooks: ``_path``, ``_encode``, ``_decode``, ``_write`` and ``_entries``.
-
-Single-writer worldview: concurrent writers from *different processes*
-do not corrupt entries (the rename is atomic) but share no eviction or
-accounting; for many-writer shared storage use the sharded backend, for
-real eviction/TTL/hit statistics use
+Many writer processes may share one directory.  The rename is atomic, and
+a key names one (plan, instance) pair whose definitive answer is the same
+whoever computes it, so concurrent writers of one key store the same
+value and a reader sees a whole entry or none.  They share no eviction
+or accounting; for real eviction/TTL/hit statistics use
 :class:`repro.storage.sqlite.SqliteBackend` (decision guide in
 ``docs/storage.md``).
 """
@@ -38,7 +35,10 @@ from typing import Any, Iterator
 from ..runtime.faults import storage_fault
 from .base import EntryInfo, StorageBackend, check_storable
 
-__all__ = ["DirectoryBackend"]
+__all__ = ["DirectoryBackend", "MAX_CONSECUTIVE_ERRORS"]
+
+#: Consecutive failed writes that trip the per-process write breaker.
+MAX_CONSECUTIVE_ERRORS = 5
 
 
 class DirectoryBackend(StorageBackend):
@@ -46,31 +46,20 @@ class DirectoryBackend(StorageBackend):
 
     scheme = "dir"
 
-    def __init__(self, directory: str | os.PathLike,
-                 max_consecutive_errors: int = 5):
-        if max_consecutive_errors < 1:
-            raise ValueError("max_consecutive_errors must be >= 1")
+    def __init__(self, directory: str | os.PathLike):
         super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_consecutive_errors = max_consecutive_errors
         # The base lock guards the accounting and this breaker state only;
         # file I/O stays outside it, because reads and atomic-replace
         # writes are independently safe.
         self.consecutive_errors = 0
         self._tripped = False
 
-    # -- layout and format (the subclass hooks) ------------------------------
+    # -- layout --------------------------------------------------------------
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
-
-    def _encode(self, key: str, value: Any) -> str:
-        return json.dumps(value)
-
-    def _decode(self, key: str, text: str) -> Any:
-        """The stored value; raises on a corrupt entry."""
-        return json.loads(text)
 
     def _write(self, path: Path, text: str) -> None:
         """Atomically replace *path*: readers see the old entry or the new
@@ -107,7 +96,7 @@ class DirectoryBackend(StorageBackend):
         with self._lock:
             self.write_errors += 1
             self.consecutive_errors += 1
-            if self.consecutive_errors >= self.max_consecutive_errors:
+            if self.consecutive_errors >= MAX_CONSECUTIVE_ERRORS:
                 self._tripped = True
 
     @property
@@ -133,12 +122,12 @@ class DirectoryBackend(StorageBackend):
         path = self._path(key)
         try:
             with open(path) as fh:
-                value = self._decode(key, fh.read())
+                value = json.loads(fh.read())
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return default
-        except (OSError, ValueError, TypeError, KeyError):
+        except (OSError, ValueError):
             # The entry exists but is corrupt: a miss, plus eviction so it
             # cannot keep failing.
             self._count_read_error()
@@ -169,7 +158,7 @@ class DirectoryBackend(StorageBackend):
         if mode == "busy":
             self._note_injected("busy")
         try:
-            text = self._encode(key, value)
+            text = json.dumps(value)
             if mode == "torn":
                 # The rename lands but the payload is a truncated prefix
                 # (a crash mid-write on a non-atomic filesystem); the next
@@ -203,18 +192,19 @@ class DirectoryBackend(StorageBackend):
                 **self._accounting()}
 
     def verify(self) -> list[str]:
-        """Corrupt keys: entries whose payload does not decode.
+        """Corrupt keys: entries whose payload does not parse as JSON.
 
         Flat entries carry no embedded digest (the format predates the
-        storage layer), so verification is structural; the digest-checked
-        formats are the sqlite and sharded backends.
+        storage layer), so verification is structural; the sqlite backend
+        is the digest-checked format.  A cached answer is a JSON object,
+        and no proper prefix of one parses, so a torn write is caught.
         """
         corrupt: list[str] = []
         for key, path, _st in self._entries():
             try:
                 with open(path) as fh:
-                    self._decode(key, fh.read())
-            except (OSError, ValueError, TypeError, KeyError):
+                    json.loads(fh.read())
+            except (OSError, ValueError):
                 corrupt.append(key)
         return corrupt
 

@@ -7,18 +7,19 @@ share one cache tier:
 * **WAL mode** — readers never block the writer and vice versa; an
   entry is either fully visible or absent, never torn (a process
   hard-killed mid-``put`` rolls back with the transaction).
-* **Busy handling** — the connection carries a busy timeout *and* every
-  statement runs under an explicit retry loop on ``SQLITE_BUSY`` /
-  ``database is locked``, so bursts of concurrent writers degrade to
-  short waits, not errors.
+* **Busy handling** — the connection carries a :data:`BUSY_TIMEOUT`
+  *and* every statement runs under an explicit retry loop
+  (:data:`RETRIES` attempts) on ``SQLITE_BUSY`` / ``database is
+  locked``, so bursts of concurrent writers degrade to short waits, not
+  errors.
 * **Real eviction** — a ``max_bytes`` budget is enforced at write time
   by dropping least-recently-used entries; an optional ``ttl`` makes
   stale entries read as misses and reclaims them in place.
 * **Hit statistics** — per-entry hit counters and the aggregate
   hit/miss/put/eviction totals are persisted *in the database*
   (batched: counters accumulate in memory and flush every
-  ``flush_every`` operations and at close, so the read path stays one
-  ``SELECT``).  The aggregates are monotone across processes — the
+  :data:`FLUSH_EVERY` operations and at close, so the read path stays
+  one ``SELECT``).  The aggregates are monotone across processes — the
   operator's view of whether a shared tier is earning its keep.
 
 Values are verified on read: each row stores the SHA-256 digest of its
@@ -39,7 +40,14 @@ from ..runtime.faults import storage_fault
 from ..serving.fingerprint import digest
 from .base import EntryInfo, StorageBackend, check_storable
 
-__all__ = ["SqliteBackend"]
+__all__ = ["BUSY_TIMEOUT", "FLUSH_EVERY", "RETRIES", "SqliteBackend"]
+
+#: Seconds a statement waits inside sqlite for a competing lock.
+BUSY_TIMEOUT = 5.0
+#: Operations between flushes of the batched hit and stats counters.
+FLUSH_EVERY = 64
+#: Attempts per statement on ``SQLITE_BUSY`` past the busy timeout.
+RETRIES = 5
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -75,9 +83,6 @@ class SqliteBackend(StorageBackend):
     def __init__(self, path: str | os.PathLike,
                  max_bytes: int | None = None,
                  ttl: float | None = None,
-                 busy_timeout: float = 5.0,
-                 flush_every: int = 64,
-                 retries: int = 5,
                  clock: Callable[[], float] = time.time):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
@@ -91,19 +96,17 @@ class SqliteBackend(StorageBackend):
         self.path = str(path)
         self.max_bytes = max_bytes
         self.ttl = ttl
-        self.retries = max(1, retries)
-        self.flush_every = max(1, flush_every)
         self._clock = clock
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(
-            self.path, timeout=busy_timeout, check_same_thread=False,
+            self.path, timeout=BUSY_TIMEOUT, check_same_thread=False,
             isolation_level=None)  # autocommit; writes use BEGIN IMMEDIATE
         self._retry(lambda: self._conn.executescript(_SCHEMA))
         self._retry(lambda: self._conn.execute(
             "PRAGMA journal_mode=WAL"))
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
+        self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._closed = False
 
@@ -126,11 +129,11 @@ class SqliteBackend(StorageBackend):
         an exception on the cache path.
         """
         delay = 0.01
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 return fn()
             except sqlite3.OperationalError as exc:
-                if not _is_busy(exc) or attempt == self.retries - 1:
+                if not _is_busy(exc) or attempt == RETRIES - 1:
                     raise
                 time.sleep(delay)
                 delay = min(delay * 2, 0.25)
@@ -142,7 +145,7 @@ class SqliteBackend(StorageBackend):
 
     def _note_op(self) -> None:
         self._unflushed_ops += 1
-        if self._unflushed_ops >= self.flush_every:
+        if self._unflushed_ops >= FLUSH_EVERY:
             self._flush_locked()
 
     def _flush_locked(self) -> None:

@@ -34,6 +34,7 @@ definitively are compared.
 
 from __future__ import annotations
 
+import importlib
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -58,6 +59,9 @@ from repro.semantics.chase import (
 from repro.semantics.chase import chase as delta_chase
 from repro.semantics.rules import DisjunctiveRule, convert_ontology
 from repro.serving.plan import parse_query
+
+# The package re-exports the function ``chase`` under the module's name.
+chase_mod = importlib.import_module("repro.semantics.chase")
 
 
 # -- the reference: the chase before the agenda, verbatim ---------------------
@@ -384,3 +388,22 @@ def test_horn_chase_fires_the_same_steps_in_place(no_ambient_faults):
             == _steps(chase, onto, instance) == 60)
     (branch,) = delta_chase(onto, instance, sanitize=True).branches
     assert branch.complete and len(branch.interp) == 120
+
+
+# -- the EGD check after a firing ---------------------------------------------
+
+
+def test_egd_check_reads_only_the_new_facts_keys():
+    # Each firing adds one F fact under a key no other F fact has, so no
+    # firing can violate the EGD: only the initial fixpoint reads F whole.
+    onto = Ontology(
+        ontology("forall x (A(x) -> exists y (F(x,y) & B(y)))").sentences,
+        functional=["F"])
+    instance = make_instance(*(f"A(a{i})" for i in range(50)))
+    with mock.patch.object(chase_mod, "_merge_pairs",
+                           wraps=chase_mod._merge_pairs) as merge:
+        (branch,) = delta_chase(onto, instance, sanitize=True).branches
+    assert merge.call_count == 1
+    assert branch.consistent and branch.complete
+    assert len(branch.interp) == 150
+

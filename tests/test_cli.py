@@ -414,8 +414,8 @@ class TestCacheCliMissingStore:
         assert not path.exists()
 
     def test_evict_is_a_no_op(self, tmp_path, capsys):
-        path = tmp_path / "s"
-        assert main(["cache", "evict", f"shard:{path}",
+        path = tmp_path / "d"
+        assert main(["cache", "evict", f"dir:{path}",
                      "--older-than", "60"]) == 0
         out = capsys.readouterr().out
         assert "evicted 0" in out and "no store" in out
@@ -431,6 +431,60 @@ class TestCacheCliMissingStore:
     def test_bad_uri_still_exit_two(self, tmp_path, capsys):
         assert main(["cache", "stats", "redis:nope"]) == 2
         assert "unknown scheme" in capsys.readouterr().err
+
+
+SHARD_REFUSAL = ("unknown scheme 'shard' (expected one of dir, sqlite, "
+                 "or a bare path)")
+
+
+class TestShardSchemeRefused:
+    """The sharded directory store is gone.  A ``shard:`` URI exits 2
+    from every entry point, naming the schemes left, and creates nothing:
+    a store that was ``shard:`` is rebuilt by recomputing under another
+    scheme."""
+
+    def test_batch_flag(self, batch_workspace, tmp_path, capsys):
+        before = sorted(tmp_path.iterdir())
+        assert main(["batch", batch_workspace["onto"],
+                     "--workload", batch_workspace["workload"],
+                     "--cache-backend", f"shard:{tmp_path}/s?shards=4"]) == 2
+        assert SHARD_REFUSAL in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_env_default(self, batch_workspace, tmp_path, capsys,
+                         monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", f"shard:{tmp_path}/s")
+        before = sorted(tmp_path.iterdir())
+        assert main(["batch", batch_workspace["onto"],
+                     "--workload", batch_workspace["workload"]]) == 2
+        assert SHARD_REFUSAL in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_cache_stats(self, tmp_path, capsys):
+        assert main(["cache", "stats", f"shard:{tmp_path}/s"]) == 2
+        assert SHARD_REFUSAL in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_flag(self, tmp_path):
+        # A subprocess, so that a daemon which accepted the URI would
+        # time out here instead of serving inside the test process.
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env.pop("REPRO_CACHE_BACKEND", None)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-backend", f"shard:{tmp_path}/s"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=30)
+        assert proc.returncode == 2
+        assert SHARD_REFUSAL in proc.stderr
+        assert "listening on" not in proc.stdout
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChaosCli:

@@ -1029,7 +1029,7 @@ def test_healthz_storage_ok_and_probe_leaves_no_trace(server, tmp_path):
 
 def test_healthz_storage_degraded_on_bad_round_trip(
         server, tmp_path, monkeypatch):
-    srv = server(cache_backend=f"shard:{tmp_path}/s?shards=4")
+    srv = server(cache_backend=f"dir:{tmp_path}/d")
     backend = srv.answer_cache.backend
     # A backend that stores but reads back something else: the sentinel
     # round-trip must notice, and the daemon must stay up (degraded is a

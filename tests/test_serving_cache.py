@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.logic.ontology import ontology
 from repro.semantics.rules import render_rules
 from repro.serving import (
@@ -11,7 +9,8 @@ from repro.serving import (
     convert_ontology_cached,
 )
 from repro.serving import cache as cache_mod
-from repro.storage import DirectoryBackend, ShardedDirectoryBackend
+from repro.storage import DirectoryBackend
+from repro.storage.directory import MAX_CONSECUTIVE_ERRORS
 
 HORN = "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))"
 DISJ = "forall x (x = x -> (Coin(x) -> Heads(x) | Tails(x)))"
@@ -54,34 +53,30 @@ class TestLRUCache:
 
 
 class TestDiskCache:
-    """The file store contract on the flat ``dir:`` layout;
-    :class:`TestShardedDiskCache` reruns every test on ``shard:``, which
-    shares the implementation."""
-
-    make = DirectoryBackend
+    """The file store contract on the flat ``dir:`` layout."""
 
     def test_round_trip(self, tmp_path):
-        d = self.make(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         assert d.get("k1") is None
         d.put("k1", {"answers": [["h"]], "verdict": "ok"})
         assert d.get("k1") == {"answers": [["h"]], "verdict": "ok"}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        d = self.make(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", {"x": 1})
         d._path("k1").write_text("{not json", encoding="utf-8")
         assert d.get("k1") is None
 
     def test_entries_are_valid_json_files(self, tmp_path):
-        d = self.make(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", [1, 2, 3])
         [entry] = d.scan()
         text = d._path(entry.key).read_text(encoding="utf-8")
-        json.loads(text)  # raises unless the file is one JSON document
-        assert d._decode(entry.key, text) == [1, 2, 3]
+        # raises unless the file is one JSON document
+        assert json.loads(text) == [1, 2, 3]
 
     def test_corrupt_entry_is_counted_and_evicted(self, tmp_path):
-        d = self.make(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", {"x": 1})
         path = d._path("k1")
         path.write_text('{"x": 1, "trunc', encoding="utf-8")  # torn write
@@ -94,16 +89,16 @@ class TestDiskCache:
         assert d.stats()["read_errors"] == 1
 
     def test_plain_miss_is_not_a_read_error(self, tmp_path):
-        d = self.make(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         assert d.get("absent") is None
         assert d.misses == 1 and d.read_errors == 0
 
     def test_write_failures_trip_the_circuit_breaker(self, tmp_path):
-        d = self.make(tmp_path / "cache", max_consecutive_errors=3)
+        d = DirectoryBackend(tmp_path / "cache")
         unserializable = object()
-        for _ in range(3):
+        for _ in range(MAX_CONSECUTIVE_ERRORS):
             d.put("k", unserializable)  # TypeError inside json.dumps
-        assert d.write_errors == 3
+        assert d.write_errors == MAX_CONSECUTIVE_ERRORS
         assert d.tripped and d.stats()["tripped"] is True
         # Tripped: the disk is never touched again this process.
         d.put("k2", {"ok": 1})
@@ -111,19 +106,14 @@ class TestDiskCache:
         assert d.get("k2") is None  # every get is a miss
 
     def test_successful_write_resets_the_error_streak(self, tmp_path):
-        d = self.make(tmp_path / "cache", max_consecutive_errors=2)
-        d.put("bad", object())
+        d = DirectoryBackend(tmp_path / "cache")
+        streak = MAX_CONSECUTIVE_ERRORS - 1
+        for _ in range(streak):
+            d.put("bad", object())
         d.put("good", {"ok": 1})  # streak broken
-        d.put("bad", object())
-        assert d.write_errors == 2 and not d.tripped
-
-    def test_max_consecutive_errors_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            self.make(tmp_path / "cache", max_consecutive_errors=0)
-
-
-class TestShardedDiskCache(TestDiskCache):
-    make = ShardedDirectoryBackend
+        for _ in range(streak):
+            d.put("bad", object())
+        assert d.write_errors == 2 * streak and not d.tripped
 
 
 class TestAnswerCache:

@@ -12,7 +12,7 @@ from repro.serving import (
     compile_omq, convert_ontology_cached, prometheus_name, render_prometheus,
 )
 from repro.serving.plan import _plan_cache
-from repro.storage import DirectoryBackend, ShardedDirectoryBackend
+from repro.storage import DirectoryBackend
 
 ONTO = ontology(
     "forall x (Hand(x) -> exists y (hasFinger(x,y)))", name="hands")
@@ -120,39 +120,35 @@ def test_render_prometheus_empty_histogram_has_no_quantiles():
     assert "quantile" not in text
 
 
-# -- file-store put failures (both directory flavours) ------------------------
-
-FILE_STORES = (DirectoryBackend, ShardedDirectoryBackend)
+# -- file-store put failures --------------------------------------------------
 
 
 def test_disk_cache_put_survives_unserializable_value(tmp_path):
-    for make in FILE_STORES:
-        root = tmp_path / make.scheme
-        cache = make(root)
-        cache.put("bad", {"oops": object()})  # TypeError inside json.dumps
-        assert cache.write_errors == 1
-        assert cache.stats()["write_errors"] == 1
-        # No temp file was leaked into the cache directory.
-        assert list(root.rglob("*.tmp")) == []
-        assert cache.stats()["entries"] == 0
-        # The failed put behaves as a miss, and the cache still works.
-        assert cache.get("bad") is None
-        cache.put("good", {"v": 1})
-        assert cache.get("good") == {"v": 1}
-        assert cache.write_errors == 1
+    root = tmp_path / "d"
+    cache = DirectoryBackend(root)
+    cache.put("bad", {"oops": object()})  # TypeError inside json.dumps
+    assert cache.write_errors == 1
+    assert cache.stats()["write_errors"] == 1
+    # No temp file was leaked into the cache directory.
+    assert list(root.rglob("*.tmp")) == []
+    assert cache.stats()["entries"] == 0
+    # The failed put behaves as a miss, and the cache still works.
+    assert cache.get("bad") is None
+    cache.put("good", {"v": 1})
+    assert cache.get("good") == {"v": 1}
+    assert cache.write_errors == 1
 
 
 def test_disk_cache_put_survives_unwritable_directory(tmp_path):
     import shutil
 
-    for make in FILE_STORES:
-        root = tmp_path / make.scheme
-        cache = make(root)
-        cache.put("k", {"v": 1})
-        shutil.rmtree(root)  # the next write fails with OSError
-        cache.put("k2", {"v": 2})
-        assert cache.write_errors == 1
-        assert not root.exists()
+    root = tmp_path / "d"
+    cache = DirectoryBackend(root)
+    cache.put("k", {"v": 1})
+    shutil.rmtree(root)  # the next write fails with OSError
+    cache.put("k2", {"v": 2})
+    assert cache.write_errors == 1
+    assert not root.exists()
 
 
 def test_answer_cache_swallows_disk_write_errors(tmp_path):

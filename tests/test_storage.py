@@ -17,11 +17,9 @@ from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.obs import Tracer
 from repro.serving import AnswerCache, Job, clear_caches, evaluate_batch
-from repro.serving.fingerprint import digest
 from repro.serving.plan import compile_omq
 from repro.storage import (
     DirectoryBackend,
-    ShardedDirectoryBackend,
     SqliteBackend,
     StorageError,
     UnstorableValue,
@@ -31,20 +29,19 @@ from repro.storage import (
     open_backend,
     parse_backend_uri,
 )
+from repro.storage.directory import MAX_CONSECUTIVE_ERRORS
 
 KEY = "ab" * 8  # 16 hex chars, like a real fingerprint
 KEY2 = "cd" * 8
 VALUE = {"verdict": "yes", "answers": [["a"]]}
 
-BACKENDS = ["dir", "sqlite", "shard"]
+BACKENDS = ["dir", "sqlite"]
 
 
-def make_backend(kind, tmp_path, **kw):
+def make_backend(kind, tmp_path):
     if kind == "dir":
-        return DirectoryBackend(tmp_path / "d", **kw)
-    if kind == "sqlite":
-        return SqliteBackend(tmp_path / "c.db", **kw)
-    return ShardedDirectoryBackend(tmp_path / "s", shards=8, **kw)
+        return DirectoryBackend(tmp_path / "d")
+    return SqliteBackend(tmp_path / "c.db")
 
 
 @pytest.fixture(autouse=True)
@@ -62,8 +59,6 @@ class TestUri:
         assert parse_backend_uri("dir:/tmp/x") == ("dir", "/tmp/x", {})
         assert parse_backend_uri("sqlite:c.db?ttl=5") == (
             "sqlite", "c.db", {"ttl": "5"})
-        assert parse_backend_uri("shard:/t?shards=4") == (
-            "shard", "/t", {"shards": "4"})
 
     def test_bare_path_means_dir(self):
         # Every historical --cache-dir value is a valid URI.
@@ -87,10 +82,18 @@ class TestUri:
         assert parse_backend_uri("/data/a:b/cache-with-very-long:colon")[0] \
             == "dir"
 
+    def test_removed_shard_scheme_is_refused(self, tmp_path):
+        # The sharded directory store is gone; its URIs are refused like
+        # any unknown scheme, before anything is created.
+        with pytest.raises(StorageError) as exc:
+            open_backend(f"shard:{tmp_path}/s?shards=4")
+        assert ("unknown scheme 'shard' (expected one of dir, sqlite, "
+                "or a bare path)") in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_open_backend_dispatch(self, tmp_path):
         for uri, cls in ((f"dir:{tmp_path}/d", DirectoryBackend),
-                         (f"sqlite:{tmp_path}/c.db", SqliteBackend),
-                         (f"shard:{tmp_path}/s", ShardedDirectoryBackend)):
+                         (f"sqlite:{tmp_path}/c.db", SqliteBackend)):
             with open_backend(uri) as backend:
                 assert isinstance(backend, cls)
 
@@ -99,8 +102,10 @@ class TestUri:
             open_backend(f"sqlite:{tmp_path}/c.db?bogus=1")
 
     def test_bad_numeric_arg_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="shards"):
-            open_backend(f"shard:{tmp_path}/s?shards=many")
+        with pytest.raises(StorageError, match="max_bytes must be") as exc:
+            open_backend(f"sqlite:{tmp_path}/c.db?max_bytes=many")
+        assert str(exc.value).count("storage URI") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_arg_error_names_arg_and_accepted_set(self):
         with pytest.raises(StorageError) as exc:
@@ -110,8 +115,8 @@ class TestUri:
         assert "max_bytes" in msg and "ttl" in msg  # the accepted set
 
     def test_unknown_arg_gets_a_spelling_hint(self):
-        with pytest.raises(StorageError, match="did you mean 'shards'"):
-            parse_backend_uri("shard:/t?shard=4")
+        with pytest.raises(StorageError, match="did you mean 'max_bytes'"):
+            parse_backend_uri("sqlite:c.db?max_byte=4")
 
     def test_dir_takes_no_arguments(self):
         with pytest.raises(StorageError, match="takes no arguments"):
@@ -128,8 +133,7 @@ class TestBackendExists:
     """``backend_exists``: a read-only question that must never create
     the store it asks about (ISSUE 10, satellite 2)."""
 
-    URIS = {"dir": "dir:{p}/d", "sqlite": "sqlite:{p}/c.db",
-            "shard": "shard:{p}/s?shards=4"}
+    URIS = {"dir": "dir:{p}/d", "sqlite": "sqlite:{p}/c.db"}
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_false_before_creation_no_side_effect(self, kind, tmp_path):
@@ -149,7 +153,7 @@ class TestBackendExists:
             backend_exists("redis:nope")
 
 
-# -- the backend contract, over all three implementations --------------------
+# -- the backend contract, over both implementations ------------------------
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -284,12 +288,32 @@ class TestDirectoryBackend:
         assert backend.verify() == [KEY2]
 
     def test_circuit_breaker_surfaces_as_tripped(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "d", max_consecutive_errors=2)
-        assert backend.tripped is False
-        for _ in range(2):
+        backend = DirectoryBackend(tmp_path / "d")
+        for _ in range(MAX_CONSECUTIVE_ERRORS - 1):
             backend.put(KEY, {"verdict": "yes", "v": object()})  # unwritable
+        assert backend.tripped is False
+        backend.put(KEY, {"verdict": "yes", "v": object()})
         assert backend.tripped is True
         assert backend.stats()["tripped"] is True
+
+    def test_breaker_trips_after_consecutive_write_failures(
+            self, tmp_path, monkeypatch):
+        backend = DirectoryBackend(tmp_path / "d")
+
+        def boom(*a, **k):
+            raise OSError("disk on fire")
+
+        monkeypatch.setattr(os, "replace", boom)
+        for _ in range(MAX_CONSECUTIVE_ERRORS - 1):
+            backend.put(KEY, VALUE)
+        assert backend.tripped is False
+        backend.put(KEY2, VALUE)
+        assert backend.tripped is True
+        monkeypatch.undo()
+        backend.put(KEY, VALUE)  # no-op once tripped
+        assert backend.get(KEY) is None
+        assert backend.stats()["write_errors"] == MAX_CONSECUTIVE_ERRORS
+        assert list(backend.scan()) == []
 
 
 # -- SqliteBackend -----------------------------------------------------------
@@ -326,11 +350,11 @@ class TestSqliteBackend:
         backend.close()
 
     def test_per_entry_hit_counters_persisted(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "c.db", flush_every=1)
+        backend = SqliteBackend(tmp_path / "c.db")
         backend.put(KEY, VALUE)
         for _ in range(3):
             backend.get(KEY)
-        (info,) = backend.scan()
+        (info,) = backend.scan()  # scan flushes the batched counters
         assert info.hits == 3
         backend.close()
 
@@ -369,80 +393,6 @@ class TestSqliteBackend:
             SqliteBackend(tmp_path / "c.db", max_bytes=0)
         with pytest.raises(ValueError):
             SqliteBackend(tmp_path / "c.db", ttl=-1)
-
-
-# -- ShardedDirectoryBackend -------------------------------------------------
-
-
-class TestShardedBackend:
-    def test_entries_land_in_prefix_shards(self, tmp_path):
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=8)
-        keys = [digest(str(i)) for i in range(20)]
-        for key in keys:
-            backend.put(key, VALUE)
-        for key in keys:
-            expected = int(key[:8], 16) % 8
-            path = tmp_path / "s" / f"{expected:02x}" / f"{key}.json"
-            assert path.exists()
-        assert sorted(i.key for i in backend.scan()) == sorted(keys)
-
-    def test_shard_count_pinned_across_opens(self, tmp_path):
-        ShardedDirectoryBackend(tmp_path / "s", shards=4)
-        # No explicit count inherits the pinned one.
-        assert ShardedDirectoryBackend(tmp_path / "s").shards == 4
-        with pytest.raises(ValueError, match="sharded 4 ways"):
-            ShardedDirectoryBackend(tmp_path / "s", shards=16)
-
-    def test_misnamed_envelope_is_a_corrupt_miss(self, tmp_path):
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=4)
-        backend.put(KEY, VALUE)
-        path = backend._path(KEY)
-        # An entry copied under the wrong name: embedded key disagrees.
-        entry = json.loads(path.read_text())
-        entry["k"] = KEY2
-        path.write_text(json.dumps(entry))
-        assert backend.get(KEY) is None  # key mismatch -> corrupt miss
-        assert backend.stats()["read_errors"] == 1
-        assert not path.exists()  # evicted
-
-    def test_verify_rehashes_tampered_value(self, tmp_path):
-        # Bit rot that keeps the envelope parseable is invisible to the
-        # hot read path (by design) but verify() re-hashes and flags it.
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=4)
-        backend.put(KEY, VALUE)
-        path = backend._path(KEY)
-        entry = json.loads(path.read_text())
-        entry["v"] = {"verdict": "no"}
-        path.write_text(json.dumps(entry))
-        assert backend.verify() == [KEY]
-
-    def test_verify_flags_misfiled_entry(self, tmp_path):
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=4)
-        backend.put(KEY, VALUE)
-        src = backend._path(KEY)
-        wrong = next(tmp_path / "s" / f"{i:02x}" for i in range(4)
-                     if (tmp_path / "s" / f"{i:02x}") != src.parent)
-        wrong.mkdir(exist_ok=True)
-        src.rename(wrong / f"{KEY}.json")
-        assert KEY in backend.verify()
-
-    def test_breaker_trips_after_consecutive_write_failures(
-            self, tmp_path, monkeypatch):
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=2,
-                                          max_consecutive_errors=2)
-
-        def boom(*a, **k):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "replace", boom)
-        backend.put(KEY, VALUE)
-        assert backend.tripped is False
-        backend.put(KEY2, VALUE)
-        assert backend.tripped is True
-        monkeypatch.undo()
-        backend.put(KEY, VALUE)  # no-op once tripped
-        assert backend.get(KEY) is None
-        assert backend.stats()["write_errors"] == 2
 
 
 # -- AnswerCache integration -------------------------------------------------
@@ -514,8 +464,7 @@ class TestServingWiring:
     @pytest.mark.parametrize("uri_kind", BACKENDS)
     def test_evaluate_batch_cache_backend(self, uri_kind, tmp_path):
         uri = {"dir": f"dir:{tmp_path}/d",
-               "sqlite": f"sqlite:{tmp_path}/c.db",
-               "shard": f"shard:{tmp_path}/s?shards=4"}[uri_kind]
+               "sqlite": f"sqlite:{tmp_path}/c.db"}[uri_kind]
         cold = evaluate_batch(ONTO, JOBS, cache_backend=uri)
         assert cold.stats["cache"]["hits"] == 0
         assert cold.stats["cache"]["backend"]["backend"] == uri_kind
@@ -526,9 +475,10 @@ class TestServingWiring:
         assert warm.signatures() == cold.signatures()
 
     def test_tripped_flag_propagates_and_logs_once(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "d", max_consecutive_errors=1)
+        backend = DirectoryBackend(tmp_path / "d")
         (tmp_path / "d").rmdir()  # a dead cache volume: writes fail
-        backend.put(KEY, VALUE)
+        for _ in range(MAX_CONSECUTIVE_ERRORS):
+            backend.put(KEY, VALUE)
         assert backend.tripped
         cache = AnswerCache(backend=backend)
         tracer = Tracer()

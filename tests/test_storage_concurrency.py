@@ -1,8 +1,8 @@
 """Multi-process contention over shared storage backends (ISSUE 8,
 satellite 2).
 
-N worker processes hammer one SqliteBackend / one ShardedDirectoryBackend
-with mixed gets and puts; afterwards every surviving entry must verify
+N worker processes hammer one SqliteBackend / one DirectoryBackend with
+mixed gets and puts; afterwards every surviving entry must verify
 clean, sqlite's lifetime hit statistics must be monotone and consistent,
 and a ``kill:``-faulted writer dying mid-put must not leave torn entries
 behind.
@@ -19,9 +19,8 @@ import pytest
 
 from repro.runtime.faults import KILL_EXIT_CODE
 from repro.serving.fingerprint import digest
-from repro.storage import (
-    DirectoryBackend, ShardedDirectoryBackend, SqliteBackend,
-)
+from repro.storage import DirectoryBackend, SqliteBackend
+from repro.storage.sqlite import BUSY_TIMEOUT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -120,18 +119,20 @@ class TestSqliteContention:
         assert after >= mid + second
 
 
-class TestShardedContention:
+class TestDirectoryContention:
     def test_no_torn_entries_across_writers(self, tmp_path):
-        uri = f"shard:{tmp_path}/shared?shards=8"
-        ShardedDirectoryBackend(tmp_path / "shared", shards=8).put(
+        # Atomic renames are the whole coordination: writers of one key
+        # replace whole files, so readers never see a torn entry.
+        uri = f"dir:{tmp_path}/shared"
+        DirectoryBackend(tmp_path / "shared").put(
             digest("shared-0"), {"verdict": "yes", "writer": -1, "op": -1,
                                  "pad": "x" * 64})
         hits = _hammer(uri)
         assert sum(hits) > 0
 
-        backend = ShardedDirectoryBackend(tmp_path / "shared")
-        assert backend.shards == 8  # pinned count inherited
+        backend = DirectoryBackend(tmp_path / "shared")
         assert backend.verify() == []
+        assert list((tmp_path / "shared").glob("*.tmp")) == []
         keys = {info.key for info in backend.scan()}
         assert keys <= {digest("shared-%d" % i) for i in range(17)}
         # Every surviving value is one writer's complete payload.
@@ -168,7 +169,7 @@ backend.put(digest("victim"), {{"verdict": "yes", "n": 2}})
 print("unreachable")
 """
 
-    @pytest.mark.parametrize("kind", ["sqlite", "shard", "dir"])
+    @pytest.mark.parametrize("kind", ["sqlite", "dir"])
     def test_kill_mid_put_leaves_store_clean(self, kind, tmp_path):
         if kind == "sqlite":
             uri = f"sqlite:{tmp_path}/c.db"
@@ -186,8 +187,7 @@ print("unreachable")
                 "os._exit(%d)\n"
             ) % (SRC, str(tmp_path / "c.db"), KILL_EXIT_CODE)
         else:
-            uri = {"shard": f"shard:{tmp_path}/s?shards=4",
-                   "dir": f"dir:{tmp_path}/d"}[kind]
+            uri = f"dir:{tmp_path}/d"
             code = self.KILLER.format(src=SRC, exit_code=KILL_EXIT_CODE)
 
         proc = subprocess.run(
@@ -206,15 +206,13 @@ print("unreachable")
 
     def test_stray_tmp_files_are_invisible(self, tmp_path):
         # A crash can strand a mkstemp temp file; it must not read as an
-        # entry, and verify/scan must ignore it.  Both directory flavours.
-        for backend in (ShardedDirectoryBackend(tmp_path / "s", shards=4),
-                        DirectoryBackend(tmp_path / "d")):
-            key = digest("real")
-            backend.put(key, {"verdict": "yes"})
-            entry_dir = backend._path(key).parent
-            (entry_dir / "tmp_abandoned.tmp").write_text('{"k": "torn')
-            assert backend.verify() == []
-            assert [i.key for i in backend.scan()] == [key]
+        # entry, and verify/scan must ignore it.
+        backend = DirectoryBackend(tmp_path / "d")
+        key = digest("real")
+        backend.put(key, {"verdict": "yes"})
+        (tmp_path / "d" / "tmp_abandoned.tmp").write_text('{"verdict": "y')
+        assert backend.verify() == []
+        assert [i.key for i in backend.scan()] == [key]
 
     def test_sqlite_survives_hot_journal(self, tmp_path):
         # Simulate a crash that left WAL files behind: reopening must
@@ -236,9 +234,9 @@ print("unreachable")
 
 
 def test_sqlite_busy_timeout_is_set(tmp_path):
-    backend = SqliteBackend(tmp_path / "c.db", busy_timeout=2.5)
+    backend = SqliteBackend(tmp_path / "c.db")
     (timeout_ms,) = backend._conn.execute("PRAGMA busy_timeout").fetchone()
-    assert timeout_ms == 2500
+    assert timeout_ms == int(BUSY_TIMEOUT * 1000)
     (mode,) = backend._conn.execute("PRAGMA journal_mode").fetchone()
     assert mode == "wal"
     backend.close()

@@ -1,6 +1,6 @@
 """The ``storage:`` fault surface (ISSUE 10): deterministic EIO, torn
 writes and transient contention injected at ``StorageBackend.get``/``put``
-across all three backends, plus concurrent put-vs-eviction races run
+across both backends, plus concurrent put-vs-eviction races run
 *under* an injected fault schedule.
 
 The faults come from the same ``REPRO_FAULTS`` plan as the solver
@@ -16,21 +16,17 @@ import pytest
 import repro.runtime.faults as faults
 from repro.runtime.faults import parse_faults
 from repro.serving.fingerprint import digest
-from repro.storage import (
-    DirectoryBackend, ShardedDirectoryBackend, SqliteBackend,
-)
+from repro.storage import DirectoryBackend, SqliteBackend
 
 VALUE = {"verdict": "yes", "answers": [["a"]], "pad": "x" * 64}
 
-BACKENDS = ["dir", "sqlite", "shard"]
+BACKENDS = ["dir", "sqlite"]
 
 
 def make_backend(kind, tmp_path):
     if kind == "dir":
         return DirectoryBackend(tmp_path / "d")
-    if kind == "sqlite":
-        return SqliteBackend(tmp_path / "c.db")
-    return ShardedDirectoryBackend(tmp_path / "s", shards=4)
+    return SqliteBackend(tmp_path / "c.db")
 
 
 @pytest.fixture(autouse=True)
@@ -159,7 +155,7 @@ class TestInjectedModes:
         assert killed == ["storage:put"]
 
 
-@pytest.mark.parametrize("kind", ["sqlite", "shard"])
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestConcurrentEvictionUnderFaults:
     """Satellite 4: concurrent puts racing eviction while the fault plan
     injects contention and torn writes.  The backend must never raise,

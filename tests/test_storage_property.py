@@ -49,11 +49,10 @@ def fresh_caches():
 def backend_uri(kind, tmp_path):
     return {None: None,
             "dir": f"dir:{tmp_path}/d",
-            "sqlite": f"sqlite:{tmp_path}/c.db",
-            "shard": f"shard:{tmp_path}/s?shards=4"}[kind]
+            "sqlite": f"sqlite:{tmp_path}/c.db"}[kind]
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite", "shard"])
+@pytest.mark.parametrize("kind", ["dir", "sqlite"])
 class TestBackendIsInvisible:
     def test_cold_warm_shared_all_match_uncached(self, kind, tmp_path,
                                                  cacheable):
@@ -94,7 +93,7 @@ class TestBackendIsInvisible:
         assert warm.stats["cache"]["hits"] > 0
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite", "shard"])
+@pytest.mark.parametrize("kind", ["dir", "sqlite"])
 class TestStarvationNeverPoisonsTheCache:
     def test_starved_run_stores_nothing(self, kind, tmp_path,
                                         no_ambient_faults):
