@@ -17,7 +17,8 @@ bench quantifies both:
 * **chase fixpoint** — a pinned restricted-chase workload timed for the
   per-change perf trajectory;
 * **chase scaling** (standalone) — the delta-driven chase on horn-hands,
-  prop chains and a cyclic probe (every branch truncates) from 20 to
+  prop chains, a cyclic probe (every branch truncates) and a frontier
+  probe (a rule whose frontier ranges over a growing domain) from 20 to
   800 facts, against a faithful copy of the chase it replaced, which
   re-scanned the whole branch before every firing; gated at >=10x on
   400 horn-hands facts and <16x growth from 100 to 800 facts;
@@ -610,6 +611,18 @@ def probe_facts(n: int) -> list:
             for fact in (f"Person(p{i})", f"Student(s{i})")]
 
 
+#: A frontier variable (``x = x`` binds nothing) next to a rule that adds
+#: a null on every firing.
+FRONTIER_PROBE = ontology(
+    "forall x (x = x -> A(x))\n"
+    "forall x (C(x) -> exists y (S(x,y) & E(y)))", name="frontier")
+
+
+def frontier_facts(n: int) -> list:
+    """*n* facts of the frontier probe: ``C(c_i)``."""
+    return [f"C(c{i})" for i in range(n)]
+
+
 #: Instance sizes, in facts, of the chase sweep.
 CHASE_SIZES = (20, 50, 100, 200, 400, 800)
 #: family -> (ontology, facts(n), largest size the rescan reference is
@@ -618,6 +631,7 @@ CHASE_FAMILIES = {
     "horn-hands": (HORN_HANDS, hands_facts, 800),
     "prop-chains": (FASTPATH_ONTO, chain_facts, 800),
     "cyclic-probe": (CYCLIC, probe_facts, 100),
+    "frontier-probe": (FRONTIER_PROBE, frontier_facts, 100),
 }
 
 

@@ -55,8 +55,7 @@ class Interpretation:
             raise ValueError(f"fact {fact!r} contains a variable")
         known = self._arity.setdefault(fact.pred, fact.arity)
         if known != fact.arity:
-            raise ValueError(
-                f"arity clash for {fact.pred}: {known} vs {fact.arity}")
+            raise arity_clash(fact.pred, known, fact.arity)
         args = tuple(fact.args)
         bucket = self._facts.get(fact.pred)
         if bucket is None:
@@ -171,6 +170,10 @@ class Interpretation:
         """All facts in which *elem* occurs."""
         for pred, args in self._by_elem.get(elem, ()):
             yield Atom(pred, args)
+
+    def occurrences(self, elem: Element) -> int:
+        """The number of facts in which *elem* occurs."""
+        return len(self._by_elem.get(elem, ()))
 
     def constants(self) -> frozenset[Const]:
         return frozenset(e for e in self._by_elem if isinstance(e, Const))
@@ -426,20 +429,37 @@ def fresh_nulls(prefix: str, count: int, avoid: Iterable[Element] = ()) -> list[
     return out
 
 
+def arity_clash(pred: str, known: int, arity: int) -> ValueError:
+    """The error for a fact of *pred* at *arity* where earlier facts have
+    *known* arity."""
+    return ValueError(f"arity clash for {pred}: {known} vs {arity}")
+
+
+def parse_fact(text: str) -> tuple[str, tuple[str, ...]]:
+    """Split ``"R(a, b)"`` into its predicate and argument names,
+    ``("R", ("a", "b"))``.  Whitespace around the predicate and around
+    each argument is dropped, and so are empty arguments; ``ValueError``
+    on text that is not ``pred(...)``.  The one fact parser:
+    :func:`make_instance` and the answer key of a batch job's text
+    (:mod:`repro.serving.batch`) both read facts through it."""
+    text = text.strip()
+    pred, _, rest = text.partition("(")
+    if not rest.endswith(")"):
+        raise ValueError(f"malformed fact {text!r}")
+    return pred.strip(), tuple(filter(None, map(str.strip,
+                                                rest[:-1].split(","))))
+
+
 def make_instance(*facts: str | Atom) -> Interpretation:
     """Build an instance from ``"R(a,b)"`` strings or :class:`Atom` objects.
 
-    String arguments are parsed with every term treated as a constant.
+    String arguments are parsed (:func:`parse_fact`) with every term
+    treated as a constant.
     """
     inst = Interpretation()
     for fact in facts:
-        if isinstance(fact, Atom):
-            inst.add(fact)
-            continue
-        text = fact.strip()
-        pred, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise ValueError(f"malformed fact {text!r}")
-        args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
-        inst.add(Atom(pred.strip(), tuple(Const(a) for a in args)))
+        if not isinstance(fact, Atom):
+            pred, args = parse_fact(fact)
+            fact = Atom(pred, tuple(Const(a) for a in args))
+        inst.add(fact)
     return inst

@@ -10,7 +10,8 @@ the corresponding FO axioms when a purely sentential view is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .parser import parse_sentences
@@ -26,7 +27,8 @@ class Ontology:
 
     ``functional`` declares binary relations that are partial functions in
     the forward direction; ``inverse_functional`` in the backward direction
-    (the translation of DL ``func(R-)``).
+    (the translation of DL ``func(R-)``).  Being frozen, an ontology keeps
+    its :attr:`canonical_text` and :attr:`fingerprint` once computed.
     """
 
     sentences: tuple[Formula, ...]
@@ -68,6 +70,28 @@ class Ontology:
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.sentences)
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """The order-independent rendering that content fingerprints hash:
+        the sorted sentences, then the (inverse) functionality
+        declarations.  The display name is not part of it.  Rendered on
+        first use and kept on the object."""
+        lines = sorted(repr(phi) for phi in self.sentences)
+        if self.functional:
+            lines.append("functional: " + ",".join(sorted(self.functional)))
+        if self.inverse_functional:
+            lines.append("inverse_functional: "
+                         + ",".join(sorted(self.inverse_functional)))
+        return "ontology\n" + "\n".join(lines)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The digest of :attr:`canonical_text`
+        (:func:`repro.serving.fingerprint.digest`), kept like it."""
+        from ..serving.fingerprint import digest
+
+        return digest(self.canonical_text)
 
     def __len__(self) -> int:
         return len(self.sentences)

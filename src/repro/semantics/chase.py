@@ -29,9 +29,10 @@ full when it is first expanded, and again only after an EGD merge
 renames its elements.  After a firing, the triggers it creates are found
 from the facts it added alone, with the match kernel's seeded delta join
 (:meth:`repro.logic.match.Pattern.matches` with ``delta``); a rule with
-frontier variables is enumerated again whenever the firing may have
-grown the domain.  Head satisfaction is re-checked when a trigger is
-popped, which keeps the chase restricted.  A one-head rule fires in
+frontier variables also pairs its other body matches with the frontier
+tuples that hold an element the firing brought into the domain.  So no
+trigger is found twice.  Head satisfaction is re-checked when a trigger
+is popped, which keeps the chase restricted.  A one-head rule fires in
 place; a k-head rule clones the branch, agenda included, k-1 times.
 The EGDs are checked the same way: a firing can only violate one in the
 key group of a fact it added, and only then are they run to a fixpoint
@@ -71,19 +72,16 @@ class ChaseError(RuntimeError):
 class _Agenda:
     """A branch's active triggers not yet fired: a heap of ``(rule
     position, discovery number, env)``, so the first trigger in rule order
-    pops first, and the triggers of frontier rules already found (a
-    re-enumeration of such a rule finds them again)."""
+    pops first."""
 
-    __slots__ = ("heap", "found", "seen")
+    __slots__ = ("heap", "found")
 
-    def __init__(self, heap: list | None = None, found: int = 0,
-                 seen: set | None = None):
+    def __init__(self, heap: list | None = None, found: int = 0):
         self.heap = [] if heap is None else heap
         self.found = found
-        self.seen = set() if seen is None else seen
 
     def copy(self) -> "_Agenda":
-        return _Agenda(list(self.heap), self.found, set(self.seen))
+        return _Agenda(list(self.heap), self.found)
 
     def push(self, pos: int, env: dict[Var, Element]) -> None:
         heapq.heappush(self.heap, (pos, self.found, env))
@@ -220,53 +218,97 @@ def _apply_head(branch: Branch, head: Head,
 def _rule_matches(
     body: Pattern,
     interp: Interpretation,
-    domain: Sequence[Element],
+    domain: Sequence[Element] | None,
     frontier: Sequence[Var],
     delta: Interpretation | None = None,
+    fresh: Sequence[Element] = (),
 ) -> Iterator[dict[Var, Element]]:
-    """Body matches extended over the active domain for frontier variables.
+    """Body matches extended over the active domain for frontier variables
+    (*domain*, sorted by ``repr``; ``None`` to sort it when first needed).
 
-    With *delta*, a set of facts of *interp*, only the body matches that
-    use one of them: the seeded delta join, seeded at each body atom over
-    a predicate of *delta*."""
+    With *delta*, the facts a firing just added to *interp*, and *fresh*,
+    the elements they brought into its domain (:func:`_fresh_elements`),
+    only the matches that are new: the body matches that use a fact of
+    *delta* (the seeded delta join, seeded at each body atom over a
+    predicate of *delta*) under every frontier tuple, and the other body
+    matches under the frontier tuples that hold a *fresh* element.  None
+    is found twice."""
     if delta is None:
         envs: Iterator[dict[Var, Element]] = body.matches(interp)
     else:
         envs = itertools.chain.from_iterable(
             body.matches(interp, delta=delta, seed=i)
             for i, atom in enumerate(body.atoms) if delta.count(atom.pred))
+    if not frontier:
+        yield from envs
+        return
+    arity = len(frontier)
+    extended = set()  # the body matches already paired with every tuple
     for env in envs:
-        if not frontier:
-            yield env
+        if domain is None:
+            domain = sorted(interp.dom(), key=repr)
+        if fresh:
+            extended.add(frozenset(env.items()))
+        for combo in itertools.product(domain, repeat=arity):
+            yield {**env, **dict(zip(frontier, combo))}
+    if delta is None or not fresh:
+        return
+    if arity > 1 and domain is None:
+        domain = sorted(interp.dom(), key=repr)
+    combos = _tuples_holding(fresh, domain, arity)
+    for env in body.matches(interp):
+        if frozenset(env.items()) in extended:
             continue
-        for combo in itertools.product(domain, repeat=len(frontier)):
+        for combo in combos:
             yield {**env, **dict(zip(frontier, combo))}
 
 
+def _tuples_holding(fresh: Sequence[Element],
+                    domain: Sequence[Element] | None,
+                    arity: int) -> list[tuple[Element, ...]]:
+    """The *arity*-tuples over *domain* that hold an element of *fresh*
+    (a part of *domain*, which only an arity above 1 reads), each once:
+    the first fresh element at position i, the elements before it old."""
+    if arity == 1:
+        return [(e,) for e in fresh]
+    new = set(fresh)
+    old = [e for e in domain if e not in new]
+    return [(*before, e, *after)
+            for i in range(arity)
+            for before in itertools.product(old, repeat=i)
+            for e in fresh
+            for after in itertools.product(domain, repeat=arity - i - 1)]
+
+
+def _fresh_elements(interp: Interpretation,
+                    delta: Interpretation) -> list[Element]:
+    """The elements that the facts *delta*, just added to *interp*, brought
+    into its domain: those in no other fact of *interp* (sorted by
+    ``repr``)."""
+    return sorted((e for e in delta.dom()
+                   if interp.occurrences(e) == delta.occurrences(e)),
+                  key=repr)
+
+
 def _discover(agenda: _Agenda, rules: Sequence[DisjunctiveRule],
-              interp: Interpretation, delta: Interpretation | None = None,
-              grew: bool = True) -> None:
+              interp: Interpretation,
+              delta: Interpretation | None = None) -> None:
     """Push the active triggers of *rules* on *interp* onto *agenda*.
 
     Without *delta* every one is found: a full scan.  With *delta*, the
-    facts a firing just added to *interp*, only those whose body match
-    uses one of them.  A rule with frontier variables is enumerated whole
-    again when the domain *grew*, since its frontier ranges over every
-    element; the triggers it found before are skipped.
+    facts a firing just added to *interp*, only the triggers the firing
+    created (:func:`_rule_matches`): those whose body match uses one of
+    them and, for a rule with frontier variables, which range over the
+    whole domain, those whose frontier tuple holds an element they
+    brought into the domain.
     """
-    domain: list[Element] = []
+    fresh: list[Element] | None = None
     for pos, rule in enumerate(rules):
         body, heads, frontier = _plan(rule)
-        if frontier and not domain:
-            domain = sorted(interp.dom(), key=repr)
-        whole = frontier and grew
-        for env in _rule_matches(body, interp, domain, frontier,
-                                 None if whole else delta):
-            if frontier:
-                key = (pos, frozenset(env.items()))
-                if key in agenda.seen:
-                    continue
-                agenda.seen.add(key)
+        if frontier and delta is not None and fresh is None:
+            fresh = _fresh_elements(interp, delta)
+        for env in _rule_matches(body, interp, None, frontier, delta,
+                                 fresh or ()):
             if not any(_head_satisfied(h, p, interp, env)
                        for h, p in zip(rule.heads, heads)):
                 agenda.push(pos, env)
@@ -403,10 +445,7 @@ def chase(
             if branch.interp is not interp:
                 branch.agenda = None  # merged: rescan the renamed branch
         if branch.consistent and branch.agenda is not None:
-            grew = bool(head.exist_vars) or any(
-                not isinstance(t, Var) for a in head.atoms for t in a.args)
-            _discover(branch.agenda, rule_set, interp, Interpretation(added),
-                      grew)
+            _discover(branch.agenda, rule_set, interp, Interpretation(added))
         if san and branch.consistent:
             san.check_branch(branch, onto, max_depth, base_dom)
 

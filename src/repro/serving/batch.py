@@ -36,8 +36,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..logic.instance import Interpretation, make_instance
+from ..logic.instance import arity_clash, make_instance, parse_fact
 from ..logic.ontology import Ontology
+from ..logic.syntax import Atom, Const
 from ..obs import Tracer, current_tracer
 from ..queries.cq import QueryError
 from ..resilience import (
@@ -45,10 +46,10 @@ from ..resilience import (
 )
 from ..runtime import Budget
 from ..storage.base import StorageBackend, open_backend
-from .cache import AnswerCache, conversion_cache_stats
-from .fingerprint import fingerprint_ontology
+from .cache import AnswerCache, answer_key, conversion_cache_stats
+from .fingerprint import fingerprint_facts, fingerprint_ontology
 from .metrics import Histogram
-from .plan import check_options, compile_omq
+from .plan import EvalResult, check_options, compile_omq, plan_fingerprint
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,26 @@ def comparable_report(payload: dict[str, Any]) -> dict[str, Any]:
 # -- job execution -----------------------------------------------------------
 
 
-def _load_instance(job: Job) -> Interpretation:
-    if job.data is not None:
-        lines = [line.split("#", 1)[0].strip()
-                 for line in Path(job.data).read_text().splitlines()]
-        return make_instance(*(line for line in lines if line))
-    return make_instance(*job.facts)
+def _job_facts(job: Job) -> list[tuple[str, tuple[str, ...]]]:
+    """The job's facts, each parsed once (:func:`parse_fact`): inline, or
+    the lines of its ``data`` file with ``#`` comments and blank lines
+    dropped.  Raises what :func:`make_instance` would, at the same fact:
+    ``ValueError`` on a malformed fact or an arity clash."""
+    if job.data is None:
+        texts: Sequence[str] = job.facts
+    else:
+        texts = [line for line in (
+            raw.split("#", 1)[0].strip()
+            for raw in Path(job.data).read_text().splitlines()) if line]
+    facts = []
+    arities: dict[str, int] = {}
+    for text in texts:
+        pred, args = parse_fact(text)
+        known = arities.setdefault(pred, len(args))
+        if known != len(args):
+            raise arity_clash(pred, known, len(args))
+        facts.append((pred, args))
+    return facts
 
 
 def _execute_job(
@@ -265,51 +280,90 @@ def _execute_job(
 ) -> JobResult:
     """Run one job in the current process (shared by serial and worker
     paths).  ``options["compile"]`` holds the evaluation options the
-    batch's caller set, forwarded to :func:`compile_omq` as they are."""
-    start = time.perf_counter()
+    batch's caller set, forwarded to :func:`compile_omq` as they are.
 
-    def failed(reason: str, status: str = "error") -> JobResult:
-        return JobResult(
-            index=index, job_id=job.job_id, query=job.query,
-            data=job.data_ref(), status=status, verdict=status,
-            reason=reason, elapsed=time.perf_counter() - start)
+    The answer key comes first, from the job's text: its parsed facts
+    (:func:`fingerprint_facts`) and its plan's fingerprint
+    (:func:`plan_fingerprint`).  A hit returns at once.  Only a miss
+    builds the instance, compiles the plan and evaluates, and it stores
+    the answer under the same key.  Compiling is where ``preflight``
+    lints and where ``backend="chase"`` checks that the ontology converts
+    to rules, so with either the plan is compiled before the lookup, and
+    a hit fails as the compile does."""
+    start = time.perf_counter()
+    compile_options = options["compile"]
 
     with current_tracer().span("batch.job", index=index, job=job.job_id,
                                attempt=options.get("attempt", 1)) as span:
-        try:
-            instance = _load_instance(job)
-        except (OSError, ValueError) as exc:
-            span.set(status="error")
-            return failed(f"data: {exc}")
-        try:
-            plan = compile_omq(onto, job.query, **options["compile"])
-        except (QueryError, ValueError) as exc:
-            span.set(status="error")
-            return failed(f"query: {exc}")
-        except Exception as exc:  # LintError from preflight, etc.
-            span.set(status="error")
-            return failed(f"compile: {exc}")
 
-        result = plan.evaluate(instance, budget=budget, cache=answer_cache)
-        outcome = result.outcome
-        status = "ok" if result.definitive else "unknown"
-        span.set(status=status, verdict=result.verdict,
-                 cache_hit=result.cache_hit)
-        return JobResult(
-            index=index, job_id=job.job_id, query=job.query,
-            data=job.data_ref(),
-            status=status,
-            verdict=result.verdict,
-            answers=result.answers,
-            cache_hit=result.cache_hit,
-            engine=outcome.get("engine") if outcome else None,
-            path=result.path,
-            rungs=len(outcome.get("attempts", ())) if outcome else 0,
-            elapsed=time.perf_counter() - start,
-            reason="" if result.definitive else str(
-                (outcome or {}).get("reason", "resource exhausted")),
-            outcome=outcome,
-        )
+        def failed(reason: str) -> JobResult:
+            span.set(status="error")
+            return JobResult(
+                index=index, job_id=job.job_id, query=job.query,
+                data=job.data_ref(), status="error", verdict="error",
+                reason=reason, elapsed=time.perf_counter() - start)
+
+        def finished(result: EvalResult) -> JobResult:
+            outcome = result.outcome
+            status = "ok" if result.definitive else "unknown"
+            span.set(status=status, verdict=result.verdict,
+                     cache_hit=result.cache_hit)
+            return JobResult(
+                index=index, job_id=job.job_id, query=job.query,
+                data=job.data_ref(),
+                status=status,
+                verdict=result.verdict,
+                answers=result.answers,
+                cache_hit=result.cache_hit,
+                engine=outcome.get("engine") if outcome else None,
+                path=result.path,
+                rungs=len(outcome.get("attempts", ())) if outcome else 0,
+                elapsed=time.perf_counter() - start,
+                reason="" if result.definitive else str(
+                    (outcome or {}).get("reason", "resource exhausted")),
+                outcome=outcome,
+            )
+
+        try:
+            facts = _job_facts(job)
+        except (OSError, ValueError) as exc:
+            return failed(f"data: {exc}")
+        plan = key = None
+        try:
+            if (compile_options.get("preflight")
+                    or compile_options.get("backend") == "chase"):
+                plan = compile_omq(onto, job.query, **compile_options)
+            if answer_cache is not None:
+                key = answer_key(
+                    plan.fingerprint if plan is not None
+                    else plan_fingerprint(onto, job.query),
+                    fingerprint_facts(facts))
+        except Exception as exc:
+            return failed(_compile_failure(exc))
+        hit = answer_cache.lookup(key) if key is not None else None
+        if hit is not None:
+            return finished(EvalResult.cached(
+                hit, time.perf_counter() - start))
+        if plan is None:
+            try:
+                plan = compile_omq(onto, job.query, **compile_options)
+            except Exception as exc:
+                return failed(_compile_failure(exc))
+
+        instance = make_instance(*(Atom(pred, tuple(map(Const, args)))
+                                   for pred, args in facts))
+        result = plan.evaluate(instance, budget=budget)
+        if key is not None:
+            answer_cache.store(key, result.verdict, result.answers,
+                               result.outcome)
+        return finished(result)
+
+
+def _compile_failure(exc: Exception) -> str:
+    """A job's reason for a failed compile: a query that does not parse
+    (or options the ontology refuses), or a lint error from preflight."""
+    kind = "query" if isinstance(exc, (QueryError, ValueError)) else "compile"
+    return f"{kind}: {exc}"
 
 
 # Worker processes reuse one answer cache (and, transitively, the
@@ -569,8 +623,10 @@ def evaluate_batch(
     :func:`repro.storage.base.open_backend` URI (``dir:PATH`` or a bare
     path, ``sqlite:PATH?max_bytes=N&ttl=S``); worker processes each open
     their own handle on it, and both backends take many writer processes
-    (atomic renames, sqlite transactions).  The backend's own accounting
-    lands in ``stats["cache"]["backend"]``, and ``stats["cache"]["tripped"]``
+    (atomic renames, sqlite transactions).  The driver's handle's session
+    accounting (:meth:`~repro.storage.base.StorageBackend.accounting`, no
+    I/O: the tier's totals are ``backend.stats()``'s) lands in
+    ``stats["cache"]["backend"]``, and ``stats["cache"]["tripped"]``
     reports whether any process's write circuit breaker tripped during
     the batch (also logged once as a ``storage.breaker`` span).
 
@@ -609,7 +665,11 @@ def evaluate_batch(
     job_options = {"compile": options, "cache_backend": cache_backend,
                    "trace": tracer.enabled}
 
-    keys = {idx: job_key(idx, job) for idx, job in enumerate(jobs)}
+    # Journal keys, only for what reads them: the journal, the caller's
+    # on_result hook and the caller's resume_results.
+    keys = ({idx: job_key(idx, job) for idx, job in enumerate(jobs)}
+            if journal is not None or on_result is not None or resume_results
+            else {})
     onto_fp = fingerprint_ontology(onto)
     jrnl: Journal | None = None
     replayed: dict[int, JobResult] = {}
@@ -729,10 +789,7 @@ def evaluate_batch(
     tripped = runner.cache_tripped or (
         storage is not None and storage.tripped)
     if storage is not None:
-        try:
-            cache_stats["backend"] = storage.stats()
-        except Exception:
-            pass  # stats are best-effort, like the tier itself
+        cache_stats["backend"] = storage.accounting()
         if owns_storage:
             storage.close()
     cache_stats["tripped"] = tripped

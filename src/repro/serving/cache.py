@@ -19,7 +19,9 @@ Three layers, all keyed by the stable fingerprints of
 Cached values are plain JSON-able dictionaries of definitive results
 only: never an ``UNKNOWN`` outcome, so a budget-starved run can be
 retried with a bigger budget and a warm plan, and never a bound-relative
-answer, whose bound the key leaves out.
+answer, whose bound the key leaves out.  :func:`answer_key` is the one key
+format, and :meth:`AnswerCache.lookup` / :meth:`AnswerCache.store` the one
+place that rule is applied, for a plan's evaluation and a batch job alike.
 """
 
 from __future__ import annotations
@@ -103,6 +105,19 @@ class LRUCache:
             }
 
 
+def answer_key(omq_fingerprint: str, instance_fingerprint: str) -> str:
+    """The answer cache's key for the certain answers of the OMQ with
+    fingerprint *omq_fingerprint* (:func:`~repro.serving.fingerprint.
+    fingerprint_omq`) over the instance with *instance_fingerprint*."""
+    return combine(omq_fingerprint, instance_fingerprint)
+
+
+def _definitive(outcome: dict[str, Any] | None) -> bool:
+    """Whether an answer holds outright, not only up to a search bound
+    (a SAT search over dom(D) plus a few nulls) that cache keys omit."""
+    return (outcome or {}).get("definitive") is not False
+
+
 class AnswerCache:
     """An LRU for certain-answer results, optionally backed by a durable tier.
 
@@ -152,6 +167,25 @@ class AnswerCache:
                 with current_tracer().span(
                         "storage.put", backend=self.backend.scheme):
                     self.backend.put(key, value)
+
+    def lookup(self, key: str) -> dict[str, Any] | None:
+        """The stored answer under *key* if it is definitive.  A durable
+        store written by an older version may hold a bound-relative
+        answer: that one reads as a miss, to be recomputed, never served."""
+        hit = self.get(key)
+        if hit is not None and _definitive(hit.get("outcome")):
+            return hit
+        return None
+
+    def store(self, key: str, verdict: str,
+              answers: "tuple[tuple[str, ...], ...]",
+              outcome: dict[str, Any] | None) -> None:
+        """Cache an evaluation's result under *key*, if it is definitive:
+        neither ``UNKNOWN`` nor bound-relative."""
+        if verdict != "unknown" and _definitive(outcome):
+            self.put(key, {"verdict": verdict,
+                           "answers": [list(a) for a in answers],
+                           "outcome": outcome})
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -11,13 +11,17 @@ CLI invocations and worker processes.
 
 Renderings are built from the library's ``repr`` forms, which are already
 canonical per node (``R(x, y)``, ``forall ...``); this module only adds
-deterministic ordering and framing.
+deterministic ordering and framing.  An instance renders through
+:func:`render_facts`, which also renders parsed fact text, so the answer
+key of a batch job needs no :class:`Interpretation`
+(:func:`fingerprint_facts`).  An ontology renders once and keeps its text
+and fingerprint (:attr:`Ontology.canonical_text`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..logic.instance import Interpretation
 from ..logic.ontology import Ontology
@@ -35,14 +39,9 @@ def digest(text: str) -> str:
 
 
 def canonical_ontology(onto: Ontology) -> str:
-    """Order-independent rendering; the display name is *not* part of it."""
-    lines = sorted(repr(phi) for phi in onto.sentences)
-    if onto.functional:
-        lines.append("functional: " + ",".join(sorted(onto.functional)))
-    if onto.inverse_functional:
-        lines.append("inverse_functional: "
-                     + ",".join(sorted(onto.inverse_functional)))
-    return "ontology\n" + "\n".join(lines)
+    """Order-independent rendering; the display name is *not* part of it
+    (kept on the ontology: :attr:`Ontology.canonical_text`)."""
+    return onto.canonical_text
 
 
 def canonical_cq(cq: CQ) -> str:
@@ -59,16 +58,37 @@ def canonical_query(query: CQ | UCQ) -> str:
     return "query\n" + canonical_cq(query)
 
 
+def render_facts(facts: Mapping[str, Iterable[tuple[str, ...]]]) -> str:
+    """The canonical rendering of facts given as predicate -> argument
+    tuples, each argument already rendered (a constant by its name):
+    predicates sorted, each one's tuples ordered by their tuple ``repr``
+    (the order an ``Interpretation`` iterates in), duplicates dropped.
+    The tuples of one predicate share an arity."""
+    lines = []
+    for pred in sorted(facts):
+        lines.extend(f"{pred}({', '.join(args)})"
+                     for args in sorted(set(facts[pred]), key=_tuple_repr))
+    return "instance\n" + "\n".join(lines)
+
+
+def _tuple_repr(args: tuple[str, ...]) -> str:
+    """``repr`` of a tuple of elements rendered as *args*."""
+    return f"({args[0]},)" if len(args) == 1 else f"({', '.join(args)})"
+
+
 def canonical_instance(instance: Interpretation) -> str:
-    """Sorted fact list (iteration over ``Interpretation`` is sorted)."""
-    return "instance\n" + "\n".join(repr(fact) for fact in instance)
+    """Sorted fact list (:func:`render_facts` of the elements' ``repr``)."""
+    return render_facts({
+        pred: [tuple(map(repr, args))
+               for args in instance.candidate_tuples(pred)]
+        for pred in instance.sig()})
 
 
 # -- fingerprints ------------------------------------------------------------
 
 
 def fingerprint_ontology(onto: Ontology) -> str:
-    return digest(canonical_ontology(onto))
+    return onto.fingerprint
 
 
 def fingerprint_query(query: CQ | UCQ) -> str:
@@ -79,9 +99,19 @@ def fingerprint_instance(instance: Interpretation) -> str:
     return digest(canonical_instance(instance))
 
 
+def fingerprint_facts(facts: Iterable[tuple[str, tuple[str, ...]]]) -> str:
+    """``fingerprint_instance(make_instance(*texts))`` from the *texts*
+    already parsed (:func:`repro.logic.instance.parse_fact`) into
+    predicates and constant names, without building the instance."""
+    table: dict[str, list[tuple[str, ...]]] = {}
+    for pred, args in facts:
+        table.setdefault(pred, []).append(args)
+    return digest(render_facts(table))
+
+
 def fingerprint_omq(onto: Ontology, query: CQ | UCQ) -> str:
     """The OMQ (O, q) fingerprint: the identity of a compiled plan."""
-    return digest(canonical_ontology(onto) + "\n--\n" + canonical_query(query))
+    return digest(onto.canonical_text + "\n--\n" + canonical_query(query))
 
 
 def combine(*parts: str | Sequence[str]) -> str:

@@ -51,7 +51,7 @@ from ..queries.cq import CQ, UCQ, parse_cq, parse_ucq
 from ..runtime import Budget, ResourceExhausted
 from ..semantics.certain import Backend, CertainEngine
 from ..semantics.rules import DisjunctiveRule
-from .cache import AnswerCache, LRUCache, convert_ontology_cached
+from .cache import AnswerCache, LRUCache, answer_key, convert_ontology_cached
 from .fingerprint import (
     fingerprint_instance, fingerprint_omq, fingerprint_ontology,
     fingerprint_query,
@@ -63,10 +63,20 @@ def parse_query(text: str) -> CQ | UCQ:
     return parse_ucq(text) if ";" in text else parse_cq(text)
 
 
-def _definitive(outcome: dict[str, Any] | None) -> bool:
-    """Whether an answer holds outright, not only up to a search bound
-    (a SAT search over dom(D) plus a few nulls) that cache keys omit."""
-    return (outcome or {}).get("definitive") is not False
+_plan_fingerprints = LRUCache(maxsize=1024)
+
+
+def plan_fingerprint(onto: Ontology, query: str) -> str:
+    """``fingerprint_omq(onto, parse_query(query))``: the fingerprint of
+    the plan :func:`compile_omq` would build, without building it.
+    Memoized per (ontology, query text); raises what :func:`parse_query`
+    raises."""
+    memo_key = (fingerprint_ontology(onto), query)
+    fingerprint = _plan_fingerprints.get(memo_key)
+    if fingerprint is None:
+        fingerprint = fingerprint_omq(onto, parse_query(query))
+        _plan_fingerprints.put(memo_key, fingerprint)
+    return fingerprint
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,15 @@ class EvalResult:
     @property
     def definitive(self) -> bool:
         return self.verdict != "unknown"
+
+    @classmethod
+    def cached(cls, value: dict[str, Any], elapsed: float) -> "EvalResult":
+        """The result an answer-cache hit (:meth:`AnswerCache.lookup`)
+        stands for."""
+        return cls(verdict=value["verdict"],
+                   answers=tuple(tuple(a) for a in value["answers"]),
+                   outcome=value["outcome"], cache_hit=True,
+                   elapsed=elapsed, path="cache")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -167,21 +186,13 @@ class CompiledOMQ:
             start = time.perf_counter()
             key = None
             if cache is not None:
-                key = AnswerCache.key(
-                    self.fingerprint, fingerprint_instance(instance))
-                hit = cache.get(key)
-                # A durable store written by an older version may hold a
-                # bound-relative answer: recompute it, never serve it.
-                if hit is not None and _definitive(hit.get("outcome")):
+                key = answer_key(self.fingerprint,
+                                 fingerprint_instance(instance))
+                hit = cache.lookup(key)
+                if hit is not None:
                     span.set(cache_hit=True, verdict=hit["verdict"])
-                    return EvalResult(
-                        verdict=hit["verdict"],
-                        answers=tuple(tuple(a) for a in hit["answers"]),
-                        outcome=hit["outcome"],
-                        cache_hit=True,
-                        elapsed=time.perf_counter() - start,
-                        path="cache",
-                    )
+                    return EvalResult.cached(hit,
+                                             time.perf_counter() - start)
 
             path = "ladder"
             try:
@@ -214,12 +225,8 @@ class CompiledOMQ:
             result = EvalResult(
                 verdict=verdict, answers=answers, outcome=outcome,
                 elapsed=time.perf_counter() - start, path=path)
-            if key is not None and _definitive(outcome):
-                cache.put(key, {
-                    "verdict": verdict,
-                    "answers": [list(a) for a in answers],
-                    "outcome": outcome,
-                })
+            if key is not None:
+                cache.store(key, verdict, answers, outcome)
             span.set(cache_hit=False, verdict=verdict, path=path)
             return result
 
@@ -360,8 +367,9 @@ def check_options(options: Mapping[str, Any]) -> None:
 
 
 def clear_plan_cache() -> None:
-    """Drop the memoized plans and the memoized static bands."""
+    """Drop the memoized plans, plan fingerprints and static bands."""
     _plan_cache.clear()
+    _plan_fingerprints.clear()
     _band_cache.clear()
 
 

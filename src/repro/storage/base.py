@@ -160,10 +160,14 @@ class StorageBackend(abc.ABC):
             self.read_errors += 1
             self.misses += 1
 
-    def _accounting(self) -> dict[str, Any]:
-        """The shared :meth:`stats` fields (``injected`` only when set)."""
+    def accounting(self) -> dict[str, Any]:
+        """This handle's session accounting, without I/O: the scheme, the
+        hits, misses and errors since it was opened, whether its breaker
+        tripped, and ``injected`` when set.  :meth:`stats` adds the
+        tier's totals."""
         with self._lock:
             out: dict[str, Any] = {
+                "backend": self.scheme,
                 "hits": self.hits,
                 "misses": self.misses,
                 "read_errors": self.read_errors,

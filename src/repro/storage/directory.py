@@ -189,7 +189,7 @@ class DirectoryBackend(StorageBackend):
     def stats(self) -> dict[str, Any]:
         entries = sum(1 for _ in self._entries())
         return {"backend": self.scheme, "entries": entries,
-                **self._accounting()}
+                **self.accounting()}
 
     def verify(self) -> list[str]:
         """Corrupt keys: entries whose payload does not parse as JSON.

@@ -391,7 +391,7 @@ class SqliteBackend(StorageBackend):
                 "ttl": self.ttl,
                 "expired": self.expired,
                 "evictions": self.evictions,
-                **self._accounting(),
+                **self.accounting(),
                 "lifetime": {name: lifetime.get(name, 0)
                              for name in _LIFETIME_KEYS},
             }

@@ -171,9 +171,9 @@ class TestChaseSanitizer:
         real = chase_module._discover
         dropped = []
 
-        def discover(agenda, rules, interp, delta=None, grew=True):
+        def discover(agenda, rules, interp, delta=None):
             before = len(agenda.heap)
-            real(agenda, rules, interp, delta, grew)
+            real(agenda, rules, interp, delta)
             if delta is not None and not dropped and len(agenda.heap) > before:
                 dropped.append(agenda.heap.pop())  # a leaf: still a heap
 

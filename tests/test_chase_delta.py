@@ -407,3 +407,43 @@ def test_egd_check_reads_only_the_new_facts_keys():
     assert branch.consistent and branch.complete
     assert len(branch.interp) == 150
 
+
+# -- frontier rules after a firing --------------------------------------------
+
+#: A rule whose frontier ranges over the whole domain, and one that adds an
+#: element to it on every firing.
+FRONTIER_PROBE = ontology("""
+forall x (x = x -> A(x))
+forall x (C(x) -> exists y (S(x,y) & E(y)))
+""", name="frontier-probe")
+
+
+def _enumerated(n: int) -> int:
+    """The matches the chase enumerates on the frontier probe with *n*
+    ``C`` facts."""
+    count = 0
+    enumerate_matches = chase_mod._rule_matches
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        for env in enumerate_matches(*args, **kwargs):
+            count += 1
+            yield env
+
+    instance = make_instance(*(f"C(c{i})" for i in range(n)))
+    with mock.patch.object(chase_mod, "_rule_matches", counting):
+        (branch,) = delta_chase(FRONTIER_PROBE, instance,
+                                sanitize=False).branches
+    assert branch.consistent and branch.complete
+    assert len(branch.interp) == 5 * n  # C, S, E, and A on 2n elements
+    return count
+
+
+def test_frontier_rule_enumerates_only_new_tuples():
+    # Each firing of the second rule adds one null; only the frontier
+    # tuples holding it are new, so the work grows 4x from 200 to 800
+    # facts.  Re-enumerating the frontier over the whole domain after
+    # each firing grows it 16x.
+    small, large = _enumerated(200), _enumerated(800)
+    assert large <= 5 * small, (small, large)
+

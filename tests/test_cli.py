@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.storage import open_backend
 
 
 @pytest.fixture
@@ -357,7 +358,9 @@ class TestCacheSetting:
         cold = _batch_json(batch_workspace, capsys, *flags)
         stored = _cached_keys(cold["jobs"], cacheable)
         assert cold["stats"]["cache"]["backend"]["backend"] == "dir"
-        assert cold["stats"]["cache"]["backend"]["entries"] == len(stored)
+        with open_backend(f"dir:{tmp_path / 'd'}") as backend:
+            entries = backend.stats()["entries"]
+        assert entries == len(stored)
         warm = _batch_json(batch_workspace, capsys, *flags)
         # Each stored key is read from the dir once, then from memory.
         for job in warm["jobs"]:
@@ -368,8 +371,7 @@ class TestCacheSetting:
         stats = warm["stats"]["cache"]
         assert stats["backend"]["backend"] == "dir"
         assert stats["hits"] == sum(j["cache_hit"] for j in warm["jobs"])
-        assert stats["backend"]["hits"] == cold["stats"]["cache"][
-            "backend"]["entries"]
+        assert stats["backend"]["hits"] == entries
 
     @pytest.mark.parametrize("command", ["batch", "serve"])
     def test_cache_dir_and_backend_are_exclusive(

@@ -169,5 +169,6 @@ def test_resume_journal_coexists_with_shared_cache(tmp_path, cacheable):
     assert resumed.stats["resilience"]["resumed"] == 3
     assert resumed.stats["resilience"]["journal"]["appended"] == 3
     computed = first.results + resumed.results[3:]
-    assert (resumed.stats["cache"]["backend"]["lifetime"]["puts"]
-            == sum(cacheable(r.outcome) for r in computed))
+    with open_backend(uri) as backend:
+        puts = backend.stats()["lifetime"]["puts"]
+    assert puts == sum(cacheable(r.outcome) for r in computed)
